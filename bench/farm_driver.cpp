@@ -421,22 +421,19 @@ int run(int argc, char** argv) {
               cfg.cells * cfg.ttis, wall_s,
               wall_s > 0 ? cfg.cells * cfg.ttis / wall_s : 0.0);
 
-  // Host-side fast-forward activity (in-process runs only; reports and JSON
-  // stay byte-identical either way - this line is diagnostics).
+  // Host-side fast-forward activity, summed over every cell whichever
+  // process ran it (reports and JSON stay byte-identical either way - this
+  // line is diagnostics).
   if (cfg.pool.fast_forward && result.ff.ttis > 0) {
     const mac::FarmResult::FfActivity& ff = result.ff;
     std::printf("fast-forward: %llu/%llu quiescent TTI(s) skipped, "
                 "%llu/%llu batch(es) shrunk (%.0f%% of core-runs parked)\n",
                 static_cast<unsigned long long>(ff.idle_ttis),
                 static_cast<unsigned long long>(ff.ttis),
-                static_cast<unsigned long long>(ff.shrunk_batches),
-                static_cast<unsigned long long>(ff.full_batches +
-                                                ff.shrunk_batches),
-                ff.cores_full > 0
-                    ? 100.0 *
-                          static_cast<double>(ff.cores_full - ff.cores_run) /
-                          static_cast<double>(ff.cores_full)
-                    : 0.0);
+                static_cast<unsigned long long>(ff.batches.shrunk_batches),
+                static_cast<unsigned long long>(ff.batches.full_batches +
+                                                ff.batches.shrunk_batches),
+                100.0 * ff.batches.park_fraction());
   }
 
   if (cfg.fault.enabled) {

@@ -90,27 +90,6 @@ u64 CellConfig::cell_seed() const {
   return Rng::derive_seed(farm_seed, {kCellStream, cell});
 }
 
-bool CellReport::operator==(const CellReport& o) const {
-  return cell == o.cell && ues == o.ues && ttis == o.ttis &&
-         harq.new_tx == o.harq.new_tx && harq.retx == o.harq.retx &&
-         harq.acks == o.harq.acks && harq.drops == o.harq.drops &&
-         harq.stalls == o.harq.stalls &&
-         harq.offered_bits == o.harq.offered_bits &&
-         harq.delivered_bits == o.harq.delivered_bits &&
-         harq.dropped_bits == o.harq.dropped_bits &&
-         harq.soft_buffer_peak_bits == o.harq.soft_buffer_peak_bits &&
-         pdus == o.pdus && crc_fail == o.crc_fail &&
-         unresolved == o.unresolved && bits == o.bits && errors == o.errors &&
-         slots == o.slots && misses == o.misses &&
-         worst_cycles == o.worst_cycles && p50_cycles == o.p50_cycles &&
-         p99_cycles == o.p99_cycles && reloads == o.reloads &&
-         reload_cycles == o.reload_cycles && harq.timeouts == o.harq.timeouts &&
-         dropped_ind == o.dropped_ind && delayed_ind == o.delayed_ind &&
-         degraded_slots == o.degraded_slots && hart_faults == o.hart_faults &&
-         ecc_corrected == o.ecc_corrected && ecc_detected == o.ecc_detected &&
-         ecc_silent == o.ecc_silent;
-}
-
 Cell::Cell(const CellConfig& cfg)
     : cfg_(validated(cfg)), seed_(cfg.cell_seed()), fault_(cell_fault(cfg)),
       scheduler_(pool_with_fault(cfg), cfg.groups) {

@@ -83,8 +83,10 @@ struct CellConfig {
 };
 
 /// Integer-only per-cell aggregate. Every field is an exact count (or cycle
-/// total), so a report serialized through the farm's JSON pipe round-trips
-/// bit-identically - the derived rates live in accessors, not fields.
+/// total), so a report round-trips bit-identically through the farm's shard
+/// frame and JSON rows - the derived rates live in accessors, not fields.
+/// for_each_field below is the one list of the fields: a new counter needs
+/// a line here and a line there.
 struct CellReport {
   u32 cell = 0;
   u32 ues = 0;
@@ -125,8 +127,57 @@ struct CellReport {
                            (static_cast<double>(ttis) * tti_seconds) / 1e6;
   }
 
-  bool operator==(const CellReport& o) const;
+  bool operator==(const CellReport&) const = default;
 };
+
+/// How FarmResult::total() merges a field across cells.
+enum class FieldMerge : u8 {
+  kSum,  // counters add up
+  kMax,  // cells run concurrently on independent hardware: the worst cell
+  kId,   // identity, left at 0 in the total
+};
+
+/// The one list of CellReport's fields, in JSON key order. Calls
+/// f(name, field, merge) once per field, where `field` is a reference into
+/// `r` (u32 or u64; const when R is). The farm's row schema
+/// (cell_report_header/row/from_row), FarmResult::total() and the shard
+/// frame codec are all loops over it.
+template <class R, class F>
+void for_each_field(R& r, F&& f) {
+  f("cell", r.cell, FieldMerge::kId);
+  f("ues", r.ues, FieldMerge::kSum);
+  f("ttis", r.ttis, FieldMerge::kMax);
+  f("pdus", r.pdus, FieldMerge::kSum);
+  f("new_tx", r.harq.new_tx, FieldMerge::kSum);
+  f("retx", r.harq.retx, FieldMerge::kSum);
+  f("acks", r.harq.acks, FieldMerge::kSum);
+  f("drops", r.harq.drops, FieldMerge::kSum);
+  f("stalls", r.harq.stalls, FieldMerge::kSum);
+  f("crc_fail", r.crc_fail, FieldMerge::kSum);
+  f("offered_bits", r.harq.offered_bits, FieldMerge::kSum);
+  f("delivered_bits", r.harq.delivered_bits, FieldMerge::kSum);
+  f("dropped_bits", r.harq.dropped_bits, FieldMerge::kSum);
+  // Summed, not max'd: farm-wide soft-buffer provisioning.
+  f("soft_peak_bits", r.harq.soft_buffer_peak_bits, FieldMerge::kSum);
+  f("unresolved", r.unresolved, FieldMerge::kSum);
+  f("bits", r.bits, FieldMerge::kSum);
+  f("errors", r.errors, FieldMerge::kSum);
+  f("slots", r.slots, FieldMerge::kSum);
+  f("misses", r.misses, FieldMerge::kSum);
+  f("worst_cycles", r.worst_cycles, FieldMerge::kMax);
+  f("p50_cycles", r.p50_cycles, FieldMerge::kMax);
+  f("p99_cycles", r.p99_cycles, FieldMerge::kMax);
+  f("reloads", r.reloads, FieldMerge::kSum);
+  f("reload_cycles", r.reload_cycles, FieldMerge::kSum);
+  f("timeouts", r.harq.timeouts, FieldMerge::kSum);
+  f("dropped_ind", r.dropped_ind, FieldMerge::kSum);
+  f("delayed_ind", r.delayed_ind, FieldMerge::kSum);
+  f("degraded_slots", r.degraded_slots, FieldMerge::kSum);
+  f("hart_faults", r.hart_faults, FieldMerge::kSum);
+  f("ecc_corrected", r.ecc_corrected, FieldMerge::kSum);
+  f("ecc_detected", r.ecc_detected, FieldMerge::kSum);
+  f("ecc_silent", r.ecc_silent, FieldMerge::kSum);
+}
 
 class Cell {
  public:

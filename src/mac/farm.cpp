@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <type_traits>
 
 #include "common/error.h"
 #include "sim/report.h"
@@ -91,40 +92,19 @@ std::vector<u32> FarmResult::missing_cells() const {
 
 CellReport FarmResult::total() const {
   CellReport t;
+  std::vector<u64> values;
   for (const CellReport& c : cells) {
-    t.ues += c.ues;
-    t.ttis = std::max(t.ttis, c.ttis);
-    t.harq.new_tx += c.harq.new_tx;
-    t.harq.retx += c.harq.retx;
-    t.harq.acks += c.harq.acks;
-    t.harq.drops += c.harq.drops;
-    t.harq.stalls += c.harq.stalls;
-    t.harq.timeouts += c.harq.timeouts;
-    t.harq.offered_bits += c.harq.offered_bits;
-    t.harq.delivered_bits += c.harq.delivered_bits;
-    t.harq.dropped_bits += c.harq.dropped_bits;
-    t.harq.soft_buffer_peak_bits += c.harq.soft_buffer_peak_bits;
-    t.pdus += c.pdus;
-    t.crc_fail += c.crc_fail;
-    t.unresolved += c.unresolved;
-    t.bits += c.bits;
-    t.errors += c.errors;
-    t.slots += c.slots;
-    t.misses += c.misses;
-    // Cells run concurrently on independent hardware, so farm-level timing
-    // is the worst cell's: max of worsts and of per-cell percentiles.
-    t.worst_cycles = std::max(t.worst_cycles, c.worst_cycles);
-    t.p50_cycles = std::max(t.p50_cycles, c.p50_cycles);
-    t.p99_cycles = std::max(t.p99_cycles, c.p99_cycles);
-    t.reloads += c.reloads;
-    t.reload_cycles += c.reload_cycles;
-    t.dropped_ind += c.dropped_ind;
-    t.delayed_ind += c.delayed_ind;
-    t.degraded_slots += c.degraded_slots;
-    t.hart_faults += c.hart_faults;
-    t.ecc_corrected += c.ecc_corrected;
-    t.ecc_detected += c.ecc_detected;
-    t.ecc_silent += c.ecc_silent;
+    values.clear();
+    for_each_field(c, [&](const char*, u64 v, FieldMerge) {
+      values.push_back(v);
+    });
+    size_t i = 0;
+    for_each_field(t, [&](const char*, auto& field, FieldMerge merge) {
+      using T = std::remove_reference_t<decltype(field)>;
+      const T v = static_cast<T>(values[i++]);
+      if (merge == FieldMerge::kSum) field = static_cast<T>(field + v);
+      if (merge == FieldMerge::kMax) field = std::max(field, v);
+    });
   }
   return t;
 }
@@ -233,15 +213,9 @@ CellReport run_cell(const FarmConfig& cfg, u32 cell, bool allow_resume,
     if (ckpt && (t + 1) % cfg.checkpoint_every == 0 && t + 1 < cfg.ttis)
       save_cell_snapshot(*c, cfg.checkpoint_dir);
   }
-  if (ff != nullptr) {
-    const ran::SlotScheduler::FastForwardStats s = c->ff_batch_stats();
-    ff->idle_ttis += c->ff_idle_ttis();
-    ff->ttis += c->ttis_run();
-    ff->full_batches += s.full_batches;
-    ff->shrunk_batches += s.shrunk_batches;
-    ff->cores_full += s.cores_full;
-    ff->cores_run += s.cores_run;
-  }
+  if (ff != nullptr)
+    *ff += FarmResult::FfActivity{c->ff_batch_stats(), c->ff_idle_ttis(),
+                                  c->ttis_run()};
   return c->report();
 }
 
@@ -412,102 +386,106 @@ BisectResult bisect_cell(const FarmConfig& cfg, u32 cell,
 }
 
 std::vector<std::string> cell_report_header() {
-  return {"cell",        "ues",           "ttis",           "pdus",
-          "new_tx",      "retx",          "acks",           "drops",
-          "stalls",      "crc_fail",      "offered_bits",   "delivered_bits",
-          "dropped_bits", "soft_peak_bits", "unresolved",   "bits",
-          "errors",      "slots",         "misses",         "worst_cycles",
-          "p50_cycles",  "p99_cycles",    "reloads",        "reload_cycles",
-          "timeouts",    "dropped_ind",   "delayed_ind",    "degraded_slots",
-          "hart_faults", "ecc_corrected", "ecc_detected",   "ecc_silent"};
+  std::vector<std::string> header;
+  const CellReport any;
+  for_each_field(any, [&](const char* name, u64, FieldMerge) {
+    header.emplace_back(name);
+  });
+  return header;
 }
 
 std::vector<std::string> cell_report_row(const CellReport& rep) {
-  const auto u = [](u64 v) {
-    return sim::strf("%llu", static_cast<unsigned long long>(v));
-  };
-  return {u(rep.cell),
-          u(rep.ues),
-          u(rep.ttis),
-          u(rep.pdus),
-          u(rep.harq.new_tx),
-          u(rep.harq.retx),
-          u(rep.harq.acks),
-          u(rep.harq.drops),
-          u(rep.harq.stalls),
-          u(rep.crc_fail),
-          u(rep.harq.offered_bits),
-          u(rep.harq.delivered_bits),
-          u(rep.harq.dropped_bits),
-          u(rep.harq.soft_buffer_peak_bits),
-          u(rep.unresolved),
-          u(rep.bits),
-          u(rep.errors),
-          u(rep.slots),
-          u(rep.misses),
-          u(rep.worst_cycles),
-          u(rep.p50_cycles),
-          u(rep.p99_cycles),
-          u(rep.reloads),
-          u(rep.reload_cycles),
-          u(rep.harq.timeouts),
-          u(rep.dropped_ind),
-          u(rep.delayed_ind),
-          u(rep.degraded_slots),
-          u(rep.hart_faults),
-          u(rep.ecc_corrected),
-          u(rep.ecc_detected),
-          u(rep.ecc_silent)};
+  std::vector<std::string> row;
+  for_each_field(rep, [&](const char*, u64 v, FieldMerge) {
+    row.push_back(sim::strf("%llu", static_cast<unsigned long long>(v)));
+  });
+  return row;
 }
 
 CellReport cell_report_from_row(
     const std::vector<std::pair<std::string, std::string>>& row) {
-  const auto field = [&](const char* key) -> u64 {
-    for (const auto& [k, v] : row) {
-      if (k == key) {
-        char* end = nullptr;
-        const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-        check(end != v.c_str() && *end == '\0',
-              std::string("farm row: non-integer value for '") + key + "'");
-        return static_cast<u64>(parsed);
-      }
-    }
-    throw SimError(std::string("farm row: missing field '") + key + "'");
-  };
   CellReport rep;
-  rep.cell = static_cast<u32>(field("cell"));
-  rep.ues = static_cast<u32>(field("ues"));
-  rep.ttis = static_cast<u32>(field("ttis"));
-  rep.pdus = field("pdus");
-  rep.harq.new_tx = field("new_tx");
-  rep.harq.retx = field("retx");
-  rep.harq.acks = field("acks");
-  rep.harq.drops = field("drops");
-  rep.harq.stalls = field("stalls");
-  rep.crc_fail = field("crc_fail");
-  rep.harq.offered_bits = field("offered_bits");
-  rep.harq.delivered_bits = field("delivered_bits");
-  rep.harq.dropped_bits = field("dropped_bits");
-  rep.harq.soft_buffer_peak_bits = field("soft_peak_bits");
-  rep.unresolved = field("unresolved");
-  rep.bits = field("bits");
-  rep.errors = field("errors");
-  rep.slots = field("slots");
-  rep.misses = field("misses");
-  rep.worst_cycles = field("worst_cycles");
-  rep.p50_cycles = field("p50_cycles");
-  rep.p99_cycles = field("p99_cycles");
-  rep.reloads = field("reloads");
-  rep.reload_cycles = field("reload_cycles");
-  rep.harq.timeouts = field("timeouts");
-  rep.dropped_ind = field("dropped_ind");
-  rep.delayed_ind = field("delayed_ind");
-  rep.degraded_slots = field("degraded_slots");
-  rep.hart_faults = field("hart_faults");
-  rep.ecc_corrected = field("ecc_corrected");
-  rep.ecc_detected = field("ecc_detected");
-  rep.ecc_silent = field("ecc_silent");
+  for_each_field(rep, [&](const char* key, auto& field, FieldMerge) {
+    const auto kv = std::find_if(row.begin(), row.end(),
+                                 [&](const auto& p) { return p.first == key; });
+    if (kv == row.end())
+      throw SimError(std::string("farm row: missing field '") + key + "'");
+    const std::string& v = kv->second;
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
+    check(end != v.c_str() && *end == '\0',
+          std::string("farm row: non-integer value for '") + key + "'");
+    field = static_cast<std::remove_reference_t<decltype(field)>>(parsed);
+  });
   return rep;
+}
+
+// ---- worker -> supervisor shard frame ----
+
+namespace {
+
+/// Payload discriminator of a shard frame ("SHRD").
+constexpr u32 kShardFrameKind = 0x44524853;
+
+// The activity crosses the pipe as raw bytes: u64s only, no padding.
+static_assert(std::has_unique_object_representations_v<FarmResult::FfActivity>);
+
+/// Cells shard `s` of `shards` owns (round-robin).
+std::vector<u32> shard_cells(u32 cells, u32 shards, u32 s) {
+  std::vector<u32> out;
+  for (u32 c = s; c < cells; c += shards) out.push_back(c);
+  return out;
+}
+
+}  // namespace
+
+std::string encode_shard_frame(const ShardFrame& frame, const FarmConfig& cfg) {
+  sim::SnapshotWriter w;
+  w.write_u64(frame.cells.size());
+  for (const CellReport& rep : frame.cells) {
+    for_each_field(rep,
+                   [&](const char*, u64 v, FieldMerge) { w.write_u64(v); });
+    w.write_string(std::string(cfg.pad_row_bytes, 'x'));
+  }
+  w.write_bytes(&frame.ff, sizeof frame.ff);
+  return sim::encode_snapshot(kShardFrameKind, w.payload());
+}
+
+std::string decode_shard_frame(const std::string& bytes, const FarmConfig& cfg,
+                               u32 shard, ShardFrame* out) {
+  const u32 shards = std::min(cfg.shards, cfg.cells);
+  const size_t owned = shard_cells(cfg.cells, shards, shard).size();
+  ShardFrame frame;
+  try {
+    sim::SnapshotReader r(
+        sim::decode_snapshot(bytes, kShardFrameKind, "shard frame"),
+        "shard frame");
+    const u64 n = r.read_u64();
+    for (u64 i = 0; i < n; ++i) {
+      CellReport rep;
+      for_each_field(rep, [&](const char* name, auto& field, FieldMerge) {
+        const u64 v = r.read_u64();
+        field = static_cast<std::remove_reference_t<decltype(field)>>(v);
+        if (field != v) r.fail(std::string("out-of-range ") + name);
+      });
+      if (r.read_string() != std::string(cfg.pad_row_bytes, 'x'))
+        r.fail("bad padding");
+      check(rep.cell < cfg.cells && rep.cell % shards == shard,
+            "out-of-range or foreign cell in shard output");
+      for (const CellReport& seen : frame.cells)
+        check(seen.cell != rep.cell, "duplicate cell in shard output");
+      frame.cells.push_back(rep);
+    }
+    r.read_bytes(&frame.ff, sizeof frame.ff);
+    r.expect_end();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  if (frame.cells.size() != owned)
+    return sim::strf("incomplete shard output (%zu of %zu cells)",
+                     frame.cells.size(), owned);
+  *out = std::move(frame);
+  return "";
 }
 
 namespace {
@@ -526,25 +504,12 @@ FarmResult run_farm_inline(const FarmConfig& cfg) {
 
 namespace {
 
-/// read(2) with EINTR retry: a signal mid-gather must not truncate a
-/// shard's JSON (it used to fail the whole farm).
-ssize_t read_eintr(int fd, char* buf, size_t n) {
+/// Retries a syscall interrupted by a signal: a signal mid-gather must not
+/// truncate a shard's frame (it used to fail the whole farm).
+template <class Call>
+auto retry_eintr(Call call) {
   for (;;) {
-    const ssize_t r = ::read(fd, buf, n);
-    if (r >= 0 || errno != EINTR) return r;
-  }
-}
-
-pid_t waitpid_eintr(pid_t pid, int* status) {
-  for (;;) {
-    const pid_t r = ::waitpid(pid, status, 0);
-    if (r >= 0 || errno != EINTR) return r;
-  }
-}
-
-int poll_eintr(struct pollfd* fds, nfds_t n, int timeout_ms) {
-  for (;;) {
-    const int r = ::poll(fds, n, timeout_ms);
+    const auto r = call();
     if (r >= 0 || errno != EINTR) return r;
   }
 }
@@ -572,30 +537,8 @@ i64 newest_snapshot_tti(const FarmConfig& cfg, u32 cell) {
   return -1;
 }
 
-/// The wire text of a shard's rows, rendered to a string for the crash and
-/// garble harnesses (which write a deliberately truncated prefix). Values
-/// here are decimal integers and 'x' padding, so no escaping is needed.
-std::string render_json_rows(const std::vector<std::string>& header,
-                             const std::vector<std::vector<std::string>>& rows) {
-  std::string text = "[\n";
-  for (size_t r = 0; r < rows.size(); ++r) {
-    text += "  {";
-    for (size_t i = 0; i < header.size(); ++i) {
-      if (i != 0) text += ", ";
-      text += "\"";
-      text += header[i];
-      text += "\": \"";
-      text += rows[r][i];
-      text += "\"";
-    }
-    text += (r + 1 < rows.size()) ? "},\n" : "}\n";
-  }
-  text += "]\n";
-  return text;
-}
-
-/// Worker process body: simulate the shard's cells and stream their JSON
-/// rows, or enact the injected host fault. Host faults live entirely in
+/// Worker process body: simulate the shard's cells and stream their shard
+/// frame, or enact the injected host fault. Host faults live entirely in
 /// this harness - the simulated cells are untouched - so a retried or
 /// inline-fallback shard reproduces its reports byte-identically.
 [[noreturn]] void shard_worker(const FarmConfig& cfg, u32 shard, u32 attempt,
@@ -609,19 +552,16 @@ std::string render_json_rows(const std::vector<std::string>& header,
   std::FILE* out = ::fdopen(write_fd, "w");
   if (out == nullptr) ::_exit(3);
 
-  std::vector<std::string> header = cell_report_header();
-  if (cfg.pad_row_bytes > 0) header.push_back("pad");
-  std::vector<std::vector<std::string>> rows;
+  std::string bytes;
   try {
     // Retried attempts always climb the snapshot ladder (that is the point
     // of checkpointing); first attempts only when cfg.resume asks for it.
     const bool allow_resume =
         cfg.resume || (attempt > 1 && !cfg.checkpoint_dir.empty());
-    for (u32 c = shard; c < cfg.cells; c += shards) {
-      rows.push_back(cell_report_row(run_cell(cfg, c, allow_resume, nullptr)));
-      if (cfg.pad_row_bytes > 0)
-        rows.back().push_back(std::string(cfg.pad_row_bytes, 'x'));
-    }
+    ShardFrame frame;
+    for (const u32 c : shard_cells(cfg.cells, shards, shard))
+      frame.cells.push_back(run_cell(cfg, c, allow_resume, nullptr, &frame.ff));
+    bytes = encode_shard_frame(frame, cfg);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "farm shard %u: %s\n", shard, e.what());
     std::fclose(out);
@@ -630,19 +570,13 @@ std::string render_json_rows(const std::vector<std::string>& header,
 
   const bool crash = hf.fires(hf.crash_shard, shard, attempt);
   const bool garble = hf.fires(hf.garble_shard, shard, attempt);
-  if (crash || garble) {
-    // Crash: half the JSON, then die with a non-zero status (a worker that
-    // segfaulted mid-stream). Garble: the same truncated JSON but a clean
-    // exit - only the parse step can catch it.
-    const std::string text = render_json_rows(header, rows);
-    std::fwrite(text.data(), 1, text.size() / 2, out);
-    std::fclose(out);
-    ::_exit(crash ? 9 : 0);
-  }
-
-  sim::write_json_rows(out, header, rows);
+  // Crash: half the frame, then die with a non-zero status (a worker that
+  // segfaulted mid-stream). Garble: the same truncated frame but a clean
+  // exit - only the frame decode can catch it.
+  const size_t len = crash || garble ? bytes.size() / 2 : bytes.size();
+  std::fwrite(bytes.data(), 1, len, out);
   std::fclose(out);
-  ::_exit(0);
+  ::_exit(crash ? 9 : 0);
 }
 
 }  // namespace
@@ -659,7 +593,7 @@ FarmResult run_farm(const FarmConfig& cfg) {
     pid_t pid = -1;
     int fd = -1;  // read end of the worker's pipe; -1 = not running
     u32 attempt = 0;
-    std::string text;  // bytes drained so far
+    std::string bytes;  // frame bytes drained so far
     Clock::time_point deadline;
     bool has_deadline = false;
     bool timed_out = false;
@@ -674,9 +608,7 @@ FarmResult run_farm(const FarmConfig& cfg) {
   std::vector<std::vector<size_t>> failure_idx(shards);
 
   const auto owned_cells = [&](u32 s) {
-    std::vector<u32> cells;
-    for (u32 c = s; c < cfg.cells; c += shards) cells.push_back(c);
-    return cells;
+    return shard_cells(cfg.cells, shards, s);
   };
 
   const auto launch = [&](u32 s, u32 attempt) {
@@ -720,28 +652,14 @@ FarmResult run_farm(const FarmConfig& cfg) {
                        WIFSIGNALED(status) ? WTERMSIG(status) : 0);
     if (WEXITSTATUS(status) != 0)
       return sim::strf("exit status %d", WEXITSTATUS(status));
-    std::vector<std::vector<std::pair<std::string, std::string>>> rows;
-    if (!sim::parse_json_rows(sh[s].text, rows)) return "malformed JSON";
-    std::vector<std::pair<u32, CellReport>> staged;
-    try {
-      for (const auto& row : rows) {
-        CellReport rep = cell_report_from_row(row);
-        check(rep.cell < cfg.cells && rep.cell % shards == s,
-              "out-of-range or foreign cell in shard output");
-        for (const auto& [c, r] : staged)
-          check(c != rep.cell, "duplicate cell in shard output");
-        staged.emplace_back(rep.cell, rep);
-      }
-    } catch (const std::exception& e) {
-      return e.what();
+    ShardFrame frame;
+    const std::string reason = decode_shard_frame(sh[s].bytes, cfg, s, &frame);
+    if (!reason.empty()) return reason;
+    for (const CellReport& rep : frame.cells) {
+      result.cells[rep.cell] = rep;
+      filled[rep.cell] = 1;
     }
-    if (staged.size() != owned_cells(s).size())
-      return sim::strf("incomplete shard output (%zu of %zu cells)",
-                       staged.size(), owned_cells(s).size());
-    for (auto& [c, rep] : staged) {
-      result.cells[c] = rep;
-      filled[c] = 1;
-    }
+    result.ff += frame.ff;
     for (const size_t i : failure_idx[s]) result.failures[i].recovered = true;
     return "";
   };
@@ -753,7 +671,7 @@ FarmResult run_farm(const FarmConfig& cfg) {
       ::close(w.fd);
       w.fd = -1;
       int status = 0;
-      waitpid_eintr(w.pid, &status);
+      retry_eintr([&] { return ::waitpid(w.pid, &status, 0); });
     }
   };
 
@@ -786,7 +704,9 @@ FarmResult run_farm(const FarmConfig& cfg) {
         timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
       }
     }
-    check(poll_eintr(pfds.data(), pfds.size(), timeout_ms) >= 0,
+    check(retry_eintr([&] {
+            return ::poll(pfds.data(), pfds.size(), timeout_ms);
+          }) >= 0,
           "run_farm: poll() failed");
 
     // Enforce deadlines first: an overdue worker is SIGKILLed; the kernel
@@ -804,17 +724,19 @@ FarmResult run_farm(const FarmConfig& cfg) {
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const u32 s = pfd_shard[i];
       char buf[65536];
-      const ssize_t n = read_eintr(sh[s].fd, buf, sizeof buf);
+      const ssize_t n =
+          retry_eintr([&] { return ::read(sh[s].fd, buf, sizeof buf); });
       check(n >= 0, "run_farm: read() failed");
       if (n > 0) {
-        sh[s].text.append(buf, static_cast<size_t>(n));
+        sh[s].bytes.append(buf, static_cast<size_t>(n));
         continue;
       }
       // EOF: the worker closed its pipe (exit or SIGKILL). Reap and decide.
       ::close(sh[s].fd);
       sh[s].fd = -1;
       int status = 0;
-      check(waitpid_eintr(sh[s].pid, &status) == sh[s].pid,
+      check(retry_eintr([&] { return ::waitpid(sh[s].pid, &status, 0); }) ==
+                sh[s].pid,
             "run_farm: waitpid() failed");
       const std::string reason = evaluate(s, status);
       if (reason.empty()) continue;
@@ -849,8 +771,8 @@ FarmResult run_farm(const FarmConfig& cfg) {
             // fallback reports are byte-identical to a clean worker's.
             for (const u32 c : owned_cells(s)) {
               i64 from = -1;
-              result.cells[c] =
-                  run_cell(cfg, c, !cfg.checkpoint_dir.empty(), &from);
+              result.cells[c] = run_cell(cfg, c, !cfg.checkpoint_dir.empty(),
+                                         &from, &result.ff);
               if (!cfg.checkpoint_dir.empty())
                 result.failures.back().resume_ttis.push_back(from);
               filled[c] = 1;

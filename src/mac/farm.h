@@ -5,8 +5,9 @@
 // HARQ state and cluster pool), so the farm is embarrassingly parallel at
 // cell granularity. `shards` partitions the cells round-robin across forked
 // worker processes; each worker simulates its cells to completion, encodes
-// the integer-only CellReports as JSON rows (the repo's shared
-// sim::write_json_rows format), streams them through a pipe, and exits.
+// the integer-only CellReports and its fast-forward activity as one binary
+// shard frame (encode_shard_frame: the CRC-32-guarded sim/snapshot.h
+// container), streams it through a pipe, and exits.
 //
 // Supervisor contract (run_farm)
 // ------------------------------
@@ -17,13 +18,15 @@
 //    deadlock against a parent blocked on a sibling's pipe, and a slow
 //    shard never delays reading a fast one.
 //  - read()/waitpid()/poll() are EINTR-safe (retried), so a signal landing
-//    mid-gather cannot truncate a shard's JSON.
+//    mid-gather cannot truncate a shard's frame.
 //  - FarmConfig::shard_timeout_s puts a wall-clock bound on each worker;
 //    an overdue worker is SIGKILLed and treated as failed. 0 disables the
 //    timeout (a stalled worker then blocks forever - only safe when host
 //    faults are impossible).
-//  - A shard fails when its worker is killed/non-zero, its JSON does not
-//    parse, or its cells are incomplete. What happens next is
+//  - A shard fails when its worker is killed/non-zero, or its frame does
+//    not decode (truncated, bit-flipped: a SnapshotError from the container)
+//    or does not match the shard (an out-of-range, foreign or duplicate
+//    cell, bad padding, missing cells). What happens next is
 //    FarmConfig::policy:
 //      kFailFast  kill and reap every other worker, then throw SimError.
 //      kRetry     re-run the shard (fresh fork) up to max_shard_attempts
@@ -74,7 +77,7 @@
 // Determinism: a cell's entire simulation is keyed by
 // (FarmConfig::seed, cell id, tti) via Rng::keyed streams - nothing depends
 // on which shard (or host thread, or attempt) runs it, every report field
-// is an exact integer, and the pipe carries decimal integers - so farm
+// is an exact integer, and the pipe carries those integers verbatim - so farm
 // aggregates are bit-identical for every shard count, host thread count
 // and recovery path. That is the property the soak tests pin
 // (tests/mac_test.cpp, tests/robustness_test.cpp) and the CI farm-smoke
@@ -122,8 +125,9 @@ struct FarmConfig {
   sim::FaultConfig fault;
   /// Host-level worker faults, handled by the worker harness only.
   sim::HostFaultConfig host_fault;
-  /// Test hook: pad every JSON row with this many filler bytes (an ignored
-  /// "pad" column) to drive per-shard report volume past the pipe buffer.
+  /// Test hook: pad every cell's record in the shard frame with this many
+  /// filler bytes (checked on decode) to drive per-shard report volume past
+  /// the pipe buffer.
   u32 pad_row_bytes = 0;
 
   // ---- checkpoint / resume (see "Checkpoint-aware retry ladder" above) ----
@@ -147,7 +151,9 @@ struct FarmConfig {
 struct ShardFailure {
   u32 shard = 0;
   u32 attempt = 0;          // 1-based attempt number that failed
-  std::string reason;       // "status 9", "timeout", "malformed JSON", ...
+  /// "exit status 9", "timeout after ...", "shard frame @N: payload CRC
+  /// mismatch", "incomplete shard output (1 of 2 cells)", ...
+  std::string reason;
   std::vector<u32> cells;   // cells the shard owned
   bool recovered = false;   // true once a later attempt/fallback delivered
   /// Snapshot TTI each owned cell's recovery resumed from, parallel to
@@ -161,16 +167,20 @@ struct FarmResult {
 
   /// Host-side fast-forward activity: how much work the event-driven
   /// fast-forward skipped. Diagnostics only - never part of CellReport or
-  /// any JSON surface (the bit-exactness contract compares those). Only
-  /// populated by in-process runs (shards <= 1); sharded runs report zeros,
-  /// since worker processes hand back CellReports alone.
+  /// any JSON surface (the bit-exactness contract compares those). Workers
+  /// send theirs in the shard frame, so a clean run reports the same totals
+  /// at every shard count.
   struct FfActivity {
-    u64 idle_ttis = 0;       // quiescent TTIs skipped wholesale
-    u64 ttis = 0;            // cell-TTIs run in-process
-    u64 full_batches = 0;    // batches executed at full layout width
-    u64 shrunk_batches = 0;  // batches executed on a shrunk variant
-    u64 cores_full = 0;      // core-runs a full-width run would execute
-    u64 cores_run = 0;       // core-runs actually executed
+    ran::SlotScheduler::FastForwardStats batches;  // batch shrink counters
+    u64 idle_ttis = 0;  // quiescent TTIs skipped wholesale
+    u64 ttis = 0;       // cell-TTIs run
+    FfActivity& operator+=(const FfActivity& o) {
+      batches += o.batches;
+      idle_ttis += o.idle_ttis;
+      ttis += o.ttis;
+      return *this;
+    }
+    bool operator==(const FfActivity&) const = default;
   };
   FfActivity ff;
 
@@ -261,13 +271,33 @@ struct BisectResult {
 BisectResult bisect_cell(const FarmConfig& cfg, u32 cell,
                          const BisectPredicate& pred);
 
-/// The JSON row schema of one CellReport (shared by the pipe wire format
-/// and the farm driver's trajectory output): integer fields only.
+// ---- worker -> supervisor shard frame ----
+
+/// What one shard worker hands back to the supervisor.
+struct ShardFrame {
+  std::vector<CellReport> cells;  // the shard's cells, in run order
+  FarmResult::FfActivity ff;      // summed over those cells
+};
+
+/// Encodes `frame` as a sim/snapshot.h container: the cell count, then per
+/// cell every for_each_field value as a u64 and cfg.pad_row_bytes filler
+/// bytes, then the FfActivity.
+std::string encode_shard_frame(const ShardFrame& frame, const FarmConfig& cfg);
+/// Decodes shard `shard`'s frame and checks it against the shard's cells
+/// under cfg (round-robin over min(cfg.shards, cfg.cells) shards): no
+/// out-of-range, foreign or duplicate cell, intact padding, every owned
+/// cell present. Returns "" and sets *out on success; otherwise the failure
+/// reason, leaving *out untouched.
+std::string decode_shard_frame(const std::string& bytes, const FarmConfig& cfg,
+                               u32 shard, ShardFrame* out);
+
+/// The JSON row schema of one CellReport (the farm driver's trajectory
+/// output): for_each_field's names and decimal values.
 std::vector<std::string> cell_report_header();
 std::vector<std::string> cell_report_row(const CellReport& rep);
-/// Rebuilds a report from a parsed JSON row. Throws SimError on a missing
-/// or malformed field; unknown keys are ignored (forward compatibility and
-/// the pad_row_bytes hook).
+/// Rebuilds a report from a JSON row's key/value pairs. Throws SimError on
+/// a missing or non-integer field; unknown keys are ignored (forward
+/// compatibility).
 CellReport cell_report_from_row(
     const std::vector<std::pair<std::string, std::string>>& row);
 

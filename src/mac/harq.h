@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -72,6 +73,8 @@ struct HarqStats {
                ? 0.0
                : static_cast<double>(retx) / static_cast<double>(transmissions());
   }
+
+  bool operator==(const HarqStats&) const = default;
 };
 
 class HarqEntity {
@@ -223,16 +226,9 @@ class HarqEntity {
       w.write_u64(p.bits);
       w.write_u64(p.sent_tti);
     }
-    w.write_u64(stats_.new_tx);
-    w.write_u64(stats_.retx);
-    w.write_u64(stats_.acks);
-    w.write_u64(stats_.drops);
-    w.write_u64(stats_.stalls);
-    w.write_u64(stats_.timeouts);
-    w.write_u64(stats_.offered_bits);
-    w.write_u64(stats_.delivered_bits);
-    w.write_u64(stats_.dropped_bits);
-    w.write_u64(stats_.soft_buffer_peak_bits);
+    // The stats are u64s only: their bytes, in declaration order.
+    static_assert(std::has_unique_object_representations_v<HarqStats>);
+    w.write_bytes(&stats_, sizeof stats_);
   }
   void restore_state(sim::SnapshotReader& r) {
     if (r.read_u64() != processes_.size())
@@ -244,16 +240,7 @@ class HarqEntity {
       p.bits = r.read_u64();
       p.sent_tti = r.read_u64();
     }
-    stats_.new_tx = r.read_u64();
-    stats_.retx = r.read_u64();
-    stats_.acks = r.read_u64();
-    stats_.drops = r.read_u64();
-    stats_.stalls = r.read_u64();
-    stats_.timeouts = r.read_u64();
-    stats_.offered_bits = r.read_u64();
-    stats_.delivered_bits = r.read_u64();
-    stats_.dropped_bits = r.read_u64();
-    stats_.soft_buffer_peak_bits = r.read_u64();
+    r.read_bytes(&stats_, sizeof stats_);
   }
 
  private:

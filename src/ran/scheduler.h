@@ -287,6 +287,14 @@ class SlotScheduler {
                  : 1.0 - static_cast<double>(cores_run) /
                              static_cast<double>(cores_full);
     }
+    FastForwardStats& operator+=(const FastForwardStats& o) {
+      full_batches += o.full_batches;
+      shrunk_batches += o.shrunk_batches;
+      cores_full += o.cores_full;
+      cores_run += o.cores_run;
+      return *this;
+    }
+    bool operator==(const FastForwardStats&) const = default;
   };
   FastForwardStats fast_forward_stats() const;
 

@@ -38,8 +38,14 @@ inline std::string json_escape(const std::string& s) {
 /// write_json, the bench --json outputs, the DSE driver): a JSON array with
 /// one string-keyed object per row, values exactly as rendered in the table.
 /// Returns false (with a warning on stderr) when the file cannot be opened.
-inline void write_json_rows(std::FILE* f, const std::vector<std::string>& header,
+inline bool write_json_rows(const std::string& path,
+                            const std::vector<std::string>& header,
                             const std::vector<std::vector<std::string>>& rows) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+    return false;
+  }
   std::fprintf(f, "[\n");
   for (size_t r = 0; r < rows.size(); ++r) {
     std::fprintf(f, "  {");
@@ -51,101 +57,8 @@ inline void write_json_rows(std::FILE* f, const std::vector<std::string>& header
     std::fprintf(f, "}%s\n", r + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "]\n");
-}
-
-inline bool write_json_rows(const std::string& path,
-                            const std::vector<std::string>& header,
-                            const std::vector<std::vector<std::string>>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  write_json_rows(f, header, rows);
   std::fclose(f);
   return true;
-}
-
-/// Parses the exact format write_json_rows emits (an array of flat objects
-/// with string keys and string values) back into per-row key/value lists.
-/// This is the farm's shard-gather wire format: worker processes stream
-/// their per-cell rows through a pipe as JSON and the parent reassembles
-/// them (see mac/farm.cpp). Not a general JSON parser: nested values are
-/// rejected (returns false), escapes are limited to what json_escape emits.
-inline bool parse_json_rows(const std::string& text,
-                            std::vector<std::vector<std::pair<std::string, std::string>>>& rows) {
-  rows.clear();
-  size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\n' ||
-                               text[i] == '\r' || text[i] == '\t'))
-      ++i;
-  };
-  // Reads a quoted string (cursor on the opening quote) into `out`.
-  const auto read_string = [&](std::string& out) -> bool {
-    if (i >= text.size() || text[i] != '"') return false;
-    ++i;
-    out.clear();
-    while (i < text.size() && text[i] != '"') {
-      if (text[i] == '\\') {
-        if (i + 1 >= text.size()) return false;
-        const char esc = text[i + 1];
-        if (esc == '"' || esc == '\\') {
-          out += esc;
-          i += 2;
-        } else if (esc == 'u' && i + 5 < text.size()) {
-          out += static_cast<char>(std::strtoul(text.substr(i + 2, 4).c_str(),
-                                                nullptr, 16));
-          i += 6;
-        } else {
-          return false;
-        }
-      } else {
-        out += text[i++];
-      }
-    }
-    if (i >= text.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-  skip_ws();
-  if (i >= text.size() || text[i] != '[') return false;
-  ++i;
-  skip_ws();
-  if (i < text.size() && text[i] == ']') return true;  // empty array
-  for (;;) {
-    skip_ws();
-    if (i >= text.size() || text[i] != '{') return false;
-    ++i;
-    std::vector<std::pair<std::string, std::string>> row;
-    skip_ws();
-    while (i < text.size() && text[i] != '}') {
-      std::string key, value;
-      if (!read_string(key)) return false;
-      skip_ws();
-      if (i >= text.size() || text[i] != ':') return false;
-      ++i;
-      skip_ws();
-      if (!read_string(value)) return false;
-      row.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (i < text.size() && text[i] == ',') {
-        ++i;
-        skip_ws();
-      }
-    }
-    if (i >= text.size()) return false;
-    ++i;  // '}'
-    rows.push_back(std::move(row));
-    skip_ws();
-    if (i < text.size() && text[i] == ',') {
-      ++i;
-      continue;
-    }
-    break;
-  }
-  skip_ws();
-  return i < text.size() && text[i] == ']';
 }
 
 /// Accumulates rows and prints an aligned plain-text table.

@@ -15,36 +15,8 @@ namespace tsim::sim {
 
 namespace {
 
-/// The 24-byte on-disk header (see snapshot.h). Serialized field-by-field,
-/// not by struct copy, so padding can never leak host memory into files.
-struct Header {
-  u32 magic = kSnapshotMagic;
-  u32 version = kSnapshotVersion;
-  u32 kind = 0;
-  u32 payload_crc = 0;
-  u64 payload_size = 0;
-};
+/// Size of the header (see snapshot.h).
 constexpr size_t kHeaderBytes = 24;
-
-std::array<char, kHeaderBytes> encode_header(const Header& h) {
-  std::array<char, kHeaderBytes> out{};
-  std::memcpy(out.data() + 0, &h.magic, 4);
-  std::memcpy(out.data() + 4, &h.version, 4);
-  std::memcpy(out.data() + 8, &h.kind, 4);
-  std::memcpy(out.data() + 12, &h.payload_crc, 4);
-  std::memcpy(out.data() + 16, &h.payload_size, 8);
-  return out;
-}
-
-Header decode_header(const char* data) {
-  Header h;
-  std::memcpy(&h.magic, data + 0, 4);
-  std::memcpy(&h.version, data + 4, 4);
-  std::memcpy(&h.kind, data + 8, 4);
-  std::memcpy(&h.payload_crc, data + 12, 4);
-  std::memcpy(&h.payload_size, data + 16, 8);
-  return h;
-}
 
 const std::array<u32, 256>& crc_table() {
   static const std::array<u32, 256> table = [] {
@@ -84,22 +56,59 @@ u32 crc32(const void* data, size_t len, u32 seed) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::string encode_snapshot(u32 kind, const std::string& payload) {
+  // Field by field, never a struct copy, so padding cannot leak host memory.
+  SnapshotWriter w;
+  w.write_u32(kSnapshotMagic);
+  w.write_u32(kSnapshotVersion);
+  w.write_u32(kind);
+  w.write_u32(crc32(payload.data(), payload.size()));
+  w.write_u64(payload.size());
+  w.write_bytes(payload.data(), payload.size());
+  return w.payload();
+}
+
+std::string decode_snapshot(const std::string& bytes, u32 kind,
+                            const std::string& name) {
+  if (bytes.size() < kHeaderBytes)
+    throw SnapshotError(name, bytes.size(), "truncated snapshot header");
+  SnapshotReader h(bytes.substr(0, kHeaderBytes), name);
+  if (h.read_u32() != kSnapshotMagic)
+    throw SnapshotError(name, 0, "bad magic (not a snapshot)");
+  const u32 version = h.read_u32();
+  if (version != kSnapshotVersion)
+    throw SnapshotError(name, 4,
+                        "unsupported snapshot version " +
+                            std::to_string(version) + " (expected " +
+                            std::to_string(kSnapshotVersion) + ")");
+  const u32 got_kind = h.read_u32();
+  if (got_kind != kind)
+    throw SnapshotError(name, 8,
+                        "wrong snapshot kind " + std::to_string(got_kind) +
+                            " (expected " + std::to_string(kind) + ")");
+  const u32 crc = h.read_u32();
+  // The size is untrusted: compare it with the bytes present before copying
+  // anything out.
+  const u64 size = h.read_u64();
+  const u64 present = bytes.size() - kHeaderBytes;
+  if (size > present)
+    throw SnapshotError(name, bytes.size(), "truncated payload");
+  if (size < present)
+    throw SnapshotError(name, kHeaderBytes + size,
+                        "trailing bytes after payload");
+  if (crc32(bytes.data() + kHeaderBytes, present) != crc)
+    throw SnapshotError(name, kHeaderBytes, "payload CRC mismatch");
+  return bytes.substr(kHeaderBytes);
+}
+
 void write_snapshot_file(const std::string& path, u32 kind,
                          const std::string& payload) {
-  Header h;
-  h.kind = kind;
-  h.payload_crc = crc32(payload.data(), payload.size());
-  h.payload_size = payload.size();
-  const auto header = encode_header(h);
-
+  const std::string bytes = encode_snapshot(kind, payload);
   const std::string tmp = path + ".tmp";
   {
     File file(std::fopen(tmp.c_str(), "wb"));
     if (file.f == nullptr) fail_io(tmp, "cannot create snapshot temp file");
-    if (std::fwrite(header.data(), 1, header.size(), file.f) != header.size() ||
-        (!payload.empty() &&
-         std::fwrite(payload.data(), 1, payload.size(), file.f) !=
-             payload.size()))
+    if (std::fwrite(bytes.data(), 1, bytes.size(), file.f) != bytes.size())
       fail_io(tmp, "short write");
     if (std::fflush(file.f) != 0) fail_io(tmp, "flush failed");
 #ifdef TSIM_SNAPSHOT_HAS_FSYNC
@@ -117,40 +126,12 @@ std::string read_snapshot_file(const std::string& path, u32 kind) {
   if (file.f == nullptr)
     throw SimError(path + ": cannot open snapshot (" + std::strerror(errno) +
                    ")");
-
-  std::array<char, kHeaderBytes> raw{};
-  const size_t got = std::fread(raw.data(), 1, raw.size(), file.f);
-  if (got != raw.size())
-    throw SnapshotError(path, got, "truncated snapshot header");
-  const Header h = decode_header(raw.data());
-  if (h.magic != kSnapshotMagic)
-    throw SnapshotError(path, 0, "bad magic (not a snapshot file)");
-  if (h.version != kSnapshotVersion)
-    throw SnapshotError(path, 4,
-                        "unsupported snapshot version " +
-                            std::to_string(h.version) + " (expected " +
-                            std::to_string(kSnapshotVersion) + ")");
-  if (h.kind != kind)
-    throw SnapshotError(path, 8,
-                        "wrong snapshot kind " + std::to_string(h.kind) +
-                            " (expected " + std::to_string(kind) + ")");
-
-  std::string payload(h.payload_size, '\0');
-  const size_t read =
-      h.payload_size == 0
-          ? 0
-          : std::fread(payload.data(), 1, payload.size(), file.f);
-  if (read != payload.size())
-    throw SnapshotError(path, kHeaderBytes + read, "truncated payload");
-  // Trailing garbage means the file is not what the header promised.
-  char extra;
-  if (std::fread(&extra, 1, 1, file.f) != 0)
-    throw SnapshotError(path, kHeaderBytes + payload.size(),
-                        "trailing bytes after payload");
-  const u32 crc = crc32(payload.data(), payload.size());
-  if (crc != h.payload_crc)
-    throw SnapshotError(path, kHeaderBytes, "payload CRC mismatch");
-  return payload;
+  std::string bytes;
+  char buf[65536];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, file.f)) > 0) bytes.append(buf, n);
+  if (std::ferror(file.f) != 0) fail_io(path, "read failed");
+  return decode_snapshot(bytes, kind, path);
 }
 
 }  // namespace tsim::sim

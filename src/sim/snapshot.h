@@ -1,6 +1,7 @@
 // Versioned, CRC-guarded binary snapshot format (ROADMAP "checkpointing").
 //
-// A snapshot file is a 24-byte header followed by an opaque payload:
+// A snapshot - a file on disk, or a farm shard frame on a worker pipe - is a
+// 24-byte header followed by an opaque payload:
 //
 //   offset  size  field
 //        0     4  magic            'TSNP' (0x504E5354)
@@ -199,15 +200,28 @@ class SnapshotReader {
   std::string file_;
 };
 
-/// Atomically writes `payload` as a snapshot of `kind` to `path`:
+/// The in-memory container: the 24-byte header for (`kind`, `payload`)
+/// followed by the payload. Files and the farm's worker pipe carry exactly
+/// these bytes.
+std::string encode_snapshot(u32 kind, const std::string& payload);
+
+/// Verifies a container (magic, version, kind, size, CRC) and returns its
+/// payload. The header's size must match the bytes actually present before
+/// anything is allocated, so a corrupt size cannot drive a huge allocation.
+/// Throws SnapshotError (labelled `name`) on any mismatch, truncation or
+/// corruption.
+std::string decode_snapshot(const std::string& bytes, u32 kind,
+                            const std::string& name);
+
+/// Atomically writes encode_snapshot(kind, payload) to `path`:
 /// `<path>.tmp` + fsync + rename, so a visible file is always complete.
 /// Throws SimError on any filesystem failure.
 void write_snapshot_file(const std::string& path, u32 kind,
                          const std::string& payload);
 
-/// Reads and verifies a snapshot file (magic, version, kind, size, CRC) and
-/// returns its payload. Throws SnapshotError on any mismatch, truncation or
-/// corruption; SimError if the file cannot be opened.
+/// Reads a snapshot file and returns decode_snapshot's payload. Throws
+/// SnapshotError on any mismatch, truncation or corruption; SimError if the
+/// file cannot be opened.
 std::string read_snapshot_file(const std::string& path, u32 kind);
 
 }  // namespace tsim::sim

@@ -3,18 +3,16 @@
 // burst-model sanity, the closed-loop cell (determinism, HARQ vs single-shot
 // residual BLER), the farm's shard/thread bit-invariance contract, the
 // supervising runner's failure policies (crash/stall/garble x
-// retry/degrade/fail-fast), and the JSON row wire format the shard gather
-// rides on.
+// retry/degrade/fail-fast), the JSON row schema, and the binary shard
+// frame the shard gather rides on.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "mac/cell.h"
 #include "mac/farm.h"
 #include "mac/harq.h"
-#include "sim/report.h"
 
 namespace tsim::mac {
 namespace {
@@ -245,6 +243,29 @@ TEST(FarmTest, ShardCountDoesNotChangeAnyReport) {
   }
 }
 
+TEST(FarmTest, FastForwardActivityIsShardInvariant) {
+  // Workers send their fast-forward activity in the shard frame, so a clean
+  // run reports the same totals inline and at any shard count.
+  FarmConfig cfg = tiny_farm();
+  cfg.ttis = 48;
+  cfg.pool.fast_forward = true;
+  cfg.burst.enabled = true;
+  cfg.burst.duty = 0.25;
+  cfg.burst.diurnal_period_ttis = 24.0;
+  cfg.burst.diurnal_depth = 1.0;  // deep troughs: quiescent TTIs to skip
+  const FarmResult r1 = run_farm(cfg);
+  EXPECT_EQ(r1.ff.ttis, u64{cfg.cells} * cfg.ttis);
+  EXPECT_GT(r1.ff.idle_ttis, 0u);
+  EXPECT_GT(r1.ff.batches.full_batches + r1.ff.batches.shrunk_batches, 0u);
+  for (const u32 shards : {2u, 4u}) {
+    cfg.shards = shards;
+    const FarmResult rs = run_farm(cfg);
+    EXPECT_TRUE(rs.ff == r1.ff) << "shards " << shards;
+    for (u32 c = 0; c < cfg.cells; ++c)
+      EXPECT_TRUE(rs.cells[c] == r1.cells[c]) << "cell " << c;
+  }
+}
+
 TEST(FarmTest, HostThreadCountDoesNotChangeAnyReport) {
   FarmConfig cfg = tiny_farm();
   cfg.pool.host_threads = 1;
@@ -417,7 +438,10 @@ TEST(FarmSupervisorTest, GarbledShardDegradesToZeroFilledCells) {
   const FarmResult got = run_farm(cfg);
   ASSERT_FALSE(got.failures.empty());
   EXPECT_FALSE(got.failures[0].recovered);
-  EXPECT_NE(got.failures[0].reason.find("JSON"), std::string::npos)
+  // Half a frame: the container's size check rejects it before any decode.
+  EXPECT_EQ(got.failures[0].reason.rfind("shard frame @", 0), 0u)
+      << got.failures[0].reason;
+  EXPECT_NE(got.failures[0].reason.find("truncated"), std::string::npos)
       << got.failures[0].reason;
   EXPECT_EQ(got.missing_cells(), (std::vector<u32>{1, 3}));
   // Survivor cells are untouched; lost cells are zero-filled with identity.
@@ -437,9 +461,9 @@ TEST(FarmSupervisorTest, FailFastThrowsAndReapsEverything) {
 }
 
 TEST(FarmSupervisorTest, ReportsLargerThanThePipeBufferAreDrained) {
-  // Pad every row until each shard streams well past 64 KiB (the Linux pipe
-  // buffer): the concurrent poll() drain must gather all of it without
-  // deadlock, and padding must not change any parsed report.
+  // Pad every cell's frame record until each shard streams well past 64 KiB
+  // (the Linux pipe buffer): the concurrent poll() drain must gather all of
+  // it without deadlock, and padding must not change any decoded report.
   FarmConfig cfg = tiny_farm();
   cfg.shards = 2;
   const FarmResult want = run_farm(cfg);
@@ -479,43 +503,69 @@ TEST(FarmWireFormatTest, ReportRowRoundTrips) {
   EXPECT_TRUE(cell_report_from_row(pairs) == rep);
 }
 
-TEST(FarmWireFormatTest, JsonPipeRoundTripsThroughParser) {
-  // The exact writer/parser pair the shard gather uses, including the
-  // multi-row comma path.
-  const FarmConfig cfg = tiny_farm();
-  std::vector<CellReport> reps = {run_cell(cfg, 0), run_cell(cfg, 1),
-                                  run_cell(cfg, 3)};
-  std::vector<std::vector<std::string>> rows;
-  for (const CellReport& r : reps) rows.push_back(cell_report_row(r));
-
-  std::FILE* f = std::tmpfile();
-  ASSERT_NE(f, nullptr);
-  sim::write_json_rows(f, cell_report_header(), rows);
-  std::rewind(f);
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  std::vector<std::vector<std::pair<std::string, std::string>>> parsed;
-  ASSERT_TRUE(sim::parse_json_rows(text, parsed));
-  ASSERT_EQ(parsed.size(), reps.size());
-  for (size_t i = 0; i < reps.size(); ++i)
-    EXPECT_TRUE(cell_report_from_row(parsed[i]) == reps[i]) << "row " << i;
+/// Shard 1 of 2 over tiny_farm's four cells, run for real.
+ShardFrame real_shard1_frame(const FarmConfig& cfg) {
+  ShardFrame frame;
+  for (const u32 c : {1u, 3u})
+    frame.cells.push_back(run_cell(cfg, c, false, nullptr, &frame.ff));
+  return frame;
 }
 
-TEST(FarmWireFormatTest, ParserRejectsMalformedInput) {
-  std::vector<std::vector<std::pair<std::string, std::string>>> rows;
-  EXPECT_FALSE(sim::parse_json_rows("", rows));
-  EXPECT_FALSE(sim::parse_json_rows("not json", rows));
-  EXPECT_FALSE(sim::parse_json_rows("[{\"a\": 1}]", rows));  // non-string value
-  EXPECT_FALSE(sim::parse_json_rows("[{\"a\": \"1\"", rows));  // truncated
-  EXPECT_TRUE(sim::parse_json_rows("[\n]\n", rows));
-  EXPECT_TRUE(rows.empty());
-  EXPECT_TRUE(sim::parse_json_rows("[{\"a\": \"1\"}, {\"a\": \"2\"}]", rows));
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[1][0].second, "2");
+TEST(FarmWireFormatTest, MultiCellShardFrameRoundTrips) {
+  FarmConfig cfg = tiny_farm();
+  cfg.shards = 2;
+  cfg.pad_row_bytes = 16;
+  const ShardFrame frame = real_shard1_frame(cfg);
+  const std::string bytes = encode_shard_frame(frame, cfg);
+  ShardFrame got;
+  ASSERT_EQ(decode_shard_frame(bytes, cfg, 1, &got), "");
+  ASSERT_EQ(got.cells.size(), 2u);
+  EXPECT_TRUE(got.cells[0] == frame.cells[0]);
+  EXPECT_TRUE(got.cells[1] == frame.cells[1]);
+  EXPECT_TRUE(got.ff == frame.ff);
+  EXPECT_EQ(got.ff.ttis, 2u * cfg.ttis);
+
+  // The supervisor's ownership checks, on frames that decode cleanly.
+  const auto reason = [&](const ShardFrame& f, const FarmConfig& enc,
+                          u32 shard) {
+    ShardFrame out;
+    const std::string r = decode_shard_frame(encode_shard_frame(f, enc), cfg,
+                                             shard, &out);
+    EXPECT_TRUE(out.cells.empty()) << "a rejected frame committed cells";
+    return r;
+  };
+  EXPECT_NE(reason(frame, cfg, 0).find("foreign cell"), std::string::npos);
+  ShardFrame dup = frame;
+  dup.cells[1] = dup.cells[0];
+  EXPECT_NE(reason(dup, cfg, 1).find("duplicate cell"), std::string::npos);
+  ShardFrame part = frame;
+  part.cells.pop_back();
+  EXPECT_EQ(reason(part, cfg, 1), "incomplete shard output (1 of 2 cells)");
+  FarmConfig unpadded = cfg;
+  unpadded.pad_row_bytes = 0;
+  EXPECT_NE(reason(frame, unpadded, 1).find("bad padding"), std::string::npos);
+}
+
+TEST(FarmWireFormatTest, EveryTruncationAndBitFlipOfAShardFrameFails) {
+  FarmConfig cfg = tiny_farm();
+  cfg.shards = 2;
+  cfg.pad_row_bytes = 8;  // the padding section is swept too
+  const std::string bytes = encode_shard_frame(real_shard1_frame(cfg), cfg);
+  const auto rejected = [&](const std::string& bad) {
+    ShardFrame out;
+    const std::string reason = decode_shard_frame(bad, cfg, 1, &out);
+    return !reason.empty() && out.cells.empty() &&
+           out.ff == FarmResult::FfActivity{};
+  };
+  for (size_t keep = 0; keep < bytes.size(); ++keep)
+    EXPECT_TRUE(rejected(bytes.substr(0, keep))) << "truncated to " << keep;
+  for (size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    std::string bad = bytes;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_TRUE(rejected(bad)) << "bit " << bit << " flipped";
+  }
+  ShardFrame out;
+  EXPECT_EQ(decode_shard_frame(bytes, cfg, 1, &out), "");
 }
 
 TEST(FarmWireFormatTest, MissingFieldThrows) {

@@ -16,6 +16,7 @@
 #include "iss/machine.h"
 #include "kernels/mmse_program.h"
 #include "mac/farm.h"
+#include "mac/harq.h"
 #include "sim/cosim.h"
 #include "sim/snapshot.h"
 
@@ -437,6 +438,55 @@ TEST(Snapshot, ResumeLadderFallsPastCorruptedNewestSnapshot) {
   const mac::CellReport fresh = mac::run_cell(cfg, 0, true, &from);
   EXPECT_EQ(from, -1);
   EXPECT_TRUE(fresh == clean);
+}
+
+TEST(Snapshot, CorruptSizeFieldIsRejectedBeforeAllocating) {
+  // The header's 8-byte payload size is untrusted. Every single-bit flip of
+  // it must be a SnapshotError - which the resume ladder catches - never a
+  // multi-GiB allocation, std::bad_alloc or std::length_error.
+  ScratchDir dir("size");
+  mac::FarmConfig cfg = small_farm();
+  cfg.checkpoint_every = 4;
+  cfg.checkpoint_dir = dir.path;
+  const mac::CellReport clean = mac::run_cell(cfg, 0);
+  const std::string newest = mac::cell_snapshot_path(dir.path, 0, 8);
+  const std::string whole = slurp(newest);
+  for (size_t bit = 16 * 8; bit < 24 * 8; ++bit) {
+    std::string bad = whole;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    spit(newest, bad);
+    mac::Cell cell(cfg.cell_config(0));
+    EXPECT_THROW(mac::load_cell_snapshot(cell, newest), sim::SnapshotError)
+        << "size bit " << bit - 16 * 8 << " flipped";
+  }
+  // The ladder steps past the corrupt rung to the older snapshot.
+  i64 from = -1;
+  EXPECT_TRUE(mac::run_cell(cfg, 0, true, &from) == clean);
+  EXPECT_EQ(from, 4);
+}
+
+TEST(Snapshot, EveryTruncationAndBitFlipOfARealSnapshotFails) {
+  // A HARQ entity with blocks in flight: a real, small payload, so every
+  // byte and every bit of the container can be swept.
+  mac::HarqEntity harq(mac::HarqConfig{4, 4, true});
+  harq.start_new_data(100);
+  harq.start_new_data(60);
+  harq.on_feedback(0, false);
+  sim::SnapshotWriter w;
+  harq.save_state(w);
+  const u32 kind = 0x51524148;
+  const std::string whole = sim::encode_snapshot(kind, w.payload());
+  ASSERT_EQ(sim::decode_snapshot(whole, kind, "harq"), w.payload());
+  for (size_t keep = 0; keep < whole.size(); ++keep)
+    EXPECT_THROW(sim::decode_snapshot(whole.substr(0, keep), kind, "harq"),
+                 sim::SnapshotError)
+        << "truncated to " << keep;
+  for (size_t bit = 0; bit < whole.size() * 8; ++bit) {
+    std::string bad = whole;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    EXPECT_THROW(sim::decode_snapshot(bad, kind, "harq"), sim::SnapshotError)
+        << "bit " << bit << " flipped";
+  }
 }
 
 TEST(Snapshot, CheckpointedCrashRecoveryResumesAndMatchesClean) {
