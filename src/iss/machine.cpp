@@ -319,167 +319,90 @@ namespace {
 constexpr u32 kMachineTag = 0x31535349;  // "ISS1"
 }
 
+template <class Self, class Ar>
+void Machine::io_state(Self& m, Ar& a) {
+  a.io_tag(kMachineTag, "Machine");
+  const u32 n = m.soa_.size();
+  a.io_match(n, "machine snapshot hart count does not match this configuration");
+
+  // Resident-program table: (key, base, entry, image), in handle order. The
+  // translation cache is NOT serialized - it is a pure function of
+  // (base, entry, image) and restore_state rebuilds it.
+  a.io_each(m.resident_,
+            [&a](auto& r) { a.io(r.key, r.base, r.entry_pc, r.image); });
+  a.io(m.active_);
+  a.expect(m.active_ == kNoProgram || m.active_ < m.resident_.size(),
+           "active program handle out of range");
+  a.io(m.entry_pc_, m.program_switches_);
+
+  // Memory contents as captured (including the active image - select is
+  // not re-run on restore, so no spurious program switch is counted).
+  a.io(*m.mem_);
+
+  // HartArrays columns, serialized logically (n lanes per column) so the
+  // payload is independent of the padded column stride.
+  auto& soa = m.soa_;
+  a.io(soa.pc, soa.cycle, soa.instret, soa.raw_stall, soa.wfi_stall,
+       soa.wake_cycle);
+  a.expect(soa.pc.size() == n && soa.cycle.size() == n &&
+               soa.instret.size() == n && soa.raw_stall.size() == n &&
+               soa.wfi_stall.size() == n && soa.wake_cycle.size() == n,
+           "hart column size mismatch");
+  for (u32 reg = 0; reg < 32; ++reg)
+    a.io_bytes(soa.ready_col(reg), static_cast<size_t>(n) * sizeof(u64));
+  for (u32 c = 0; c < kMixCount; ++c)
+    a.io_bytes(soa.mix_col(c), static_cast<size_t>(n) * sizeof(u64));
+  for (auto& arch : soa.arch) {
+    a.io_pod(arch.x);
+    a.io(arch.halted, arch.in_wfi, arch.trapped, arch.has_reservation,
+         arch.reservation_addr);
+  }
+  for (auto& s : m.sleep_) {
+    a.io(s);
+    a.expect(s.load(std::memory_order_relaxed) <=
+                 static_cast<u8>(SleepState::kWakePending),
+             "invalid hart sleep state");
+  }
+  a.io(m.stop_, m.exited_, m.exit_code_);
+
+  // Fault schedule, including armed-but-unfired entries: a restored run
+  // fires them at the exact same instruction boundaries.
+  a.io(m.faults_armed_);
+  a.io_each(m.hart_faults_, [&a, n](auto& f) {
+    a.io(f.hart, f.at_instret, f.hang, f.applied);
+    a.expect(f.hart < n, "hart fault targets an unknown hart");
+  });
+  a.io(m.hart_hung_);
+  a.expect(m.hart_hung_.empty() || m.hart_hung_.size() == n,
+           "hart hang mask size mismatch");
+  a.io(m.faults_applied_);
+}
+
 void Machine::save_state(sim::SnapshotWriter& w) const {
   check(!st_mode_ && !mt_mode_, "Machine::save_state: machine is mid-run");
   check(wake_events_.empty(),
         "Machine::save_state: pending wake events are not serializable");
-  w.tag(kMachineTag);
-  const u32 n = soa_.size();
-  w.write_u32(n);
-
-  // Resident-program table: (key, base, entry, image). The translation
-  // cache is NOT serialized - it is a pure function of (base, image) and is
-  // rebuilt (and fingerprint-checked) on restore.
-  w.write_u64(resident_.size());
-  for (const auto& r : resident_) {
-    w.write_u64(r->key);
-    w.write_u32(r->base);
-    w.write_u32(r->entry_pc);
-    w.write_vec_u32(r->image);
-  }
-  w.write_u32(active_);
-  w.write_u32(entry_pc_);
-  w.write_u64(program_switches_);
-
-  mem_->save_state(w);
-
-  // HartArrays columns, serialized logically (n lanes per column) so the
-  // payload is independent of the padded column stride.
-  w.write_vec_u32(soa_.pc);
-  w.write_vec_u64(soa_.cycle);
-  w.write_vec_u64(soa_.instret);
-  w.write_vec_u64(soa_.raw_stall);
-  w.write_vec_u64(soa_.wfi_stall);
-  w.write_vec_u64(soa_.wake_cycle);
-  for (u32 reg = 0; reg < 32; ++reg)
-    w.write_bytes(soa_.ready_col(reg), static_cast<size_t>(n) * sizeof(u64));
-  for (u32 c = 0; c < kMixCount; ++c)
-    w.write_bytes(soa_.mix_col(c), static_cast<size_t>(n) * sizeof(u64));
-  for (const HartArrays::Arch& a : soa_.arch) {
-    w.write_bytes(a.x.data(), a.x.size() * sizeof(u32));
-    w.write_bool(a.halted);
-    w.write_bool(a.in_wfi);
-    w.write_bool(a.trapped);
-    w.write_bool(a.has_reservation);
-    w.write_u32(a.reservation_addr);
-  }
-  for (u32 i = 0; i < n; ++i)
-    w.write_u8(sleep_[i].load(std::memory_order_relaxed));
-
-  w.write_bool(stop_.load(std::memory_order_relaxed));
-  w.write_bool(exited_.load(std::memory_order_relaxed));
-  w.write_u32(exit_code_.load(std::memory_order_relaxed));
-
-  // Fault schedule, including armed-but-unfired entries: a restored run
-  // fires them at the exact same instruction boundaries.
-  w.write_bool(faults_armed_);
-  w.write_u64(hart_faults_.size());
-  for (const HartFault& f : hart_faults_) {
-    w.write_u32(f.hart);
-    w.write_u64(f.at_instret);
-    w.write_bool(f.hang);
-    w.write_bool(f.applied);
-  }
-  w.write_vec_u8(hart_hung_);
-  w.write_u32(faults_applied_);
+  io_state(*this, w);
 }
 
 void Machine::restore_state(sim::SnapshotReader& r) {
   check(!st_mode_ && !mt_mode_, "Machine::restore_state: machine is mid-run");
-  r.expect_tag(kMachineTag, "Machine");
-  const u32 n = soa_.size();
-  if (r.read_u32() != n)
-    r.fail("machine snapshot hart count does not match this configuration");
-
-  // Rebuild the resident table in snapshot order (handles are positional).
-  const u64 nres = r.read_u64();
-  resident_.clear();
-  for (u64 i = 0; i < nres; ++i) {
-    const u64 key = r.read_u64();
-    const u32 base = r.read_u32();
-    const u32 entry = r.read_u32();
+  tcache_ = &empty_translation();  // resident_ is rebuilt below
+  io_state(*this, r);
+  // Load-only step: retranslate each resident program, binding it to its
+  // recorded fingerprint so a corrupt image is never silently re-bound.
+  for (auto& res : resident_) {
     rvasm::Program prog;
-    prog.base = base;
-    prog.words = r.read_vec_u32();
-    prog.symbols["_start"] = entry;
-    if (program_fingerprint(prog) != key)
+    prog.base = res->base;
+    prog.words = std::move(res->image);
+    prog.symbols["_start"] = res->entry_pc;
+    if (program_fingerprint(prog) != res->key)
       r.fail("resident program fingerprint mismatch (corrupt image?)");
-    auto res = std::make_unique<ResidentProgram>();
-    res->key = key;
-    res->base = base;
-    res->entry_pc = entry;
     res->tcache = TranslationCache(prog);
     res->image = std::move(prog.words);
-    resident_.push_back(std::move(res));
   }
-  const ProgramHandle active = r.read_u32();
-  if (active != kNoProgram && active >= resident_.size())
-    r.fail("active program handle out of range");
-  active_ = active;
-  tcache_ = active == kNoProgram ? &empty_translation()
-                                 : &resident_[active]->tcache;
-  entry_pc_ = r.read_u32();
-  program_switches_ = r.read_u64();
-
-  // Memory contents as captured (including the active image - select is
-  // not re-run, so no spurious program switch is counted).
-  mem_->restore_state(r);
-
-  auto take_u32_col = [&r, n](std::vector<u32>& col) {
-    std::vector<u32> v = r.read_vec_u32();
-    if (v.size() != n) r.fail("hart column size mismatch");
-    col = std::move(v);
-  };
-  auto take_u64_col = [&r, n](std::vector<u64>& col) {
-    std::vector<u64> v = r.read_vec_u64();
-    if (v.size() != n) r.fail("hart column size mismatch");
-    col = std::move(v);
-  };
-  take_u32_col(soa_.pc);
-  take_u64_col(soa_.cycle);
-  take_u64_col(soa_.instret);
-  take_u64_col(soa_.raw_stall);
-  take_u64_col(soa_.wfi_stall);
-  take_u64_col(soa_.wake_cycle);
-  for (u32 reg = 0; reg < 32; ++reg)
-    r.read_bytes(soa_.ready_col(reg), static_cast<size_t>(n) * sizeof(u64));
-  for (u32 c = 0; c < kMixCount; ++c)
-    r.read_bytes(soa_.mix_col(c), static_cast<size_t>(n) * sizeof(u64));
-  for (HartArrays::Arch& a : soa_.arch) {
-    r.read_bytes(a.x.data(), a.x.size() * sizeof(u32));
-    a.halted = r.read_bool();
-    a.in_wfi = r.read_bool();
-    a.trapped = r.read_bool();
-    a.has_reservation = r.read_bool();
-    a.reservation_addr = r.read_u32();
-  }
-  for (u32 i = 0; i < n; ++i) {
-    const u8 s = r.read_u8();
-    if (s > static_cast<u8>(SleepState::kWakePending))
-      r.fail("invalid hart sleep state");
-    sleep_[i].store(s, std::memory_order_relaxed);
-  }
-
-  stop_.store(r.read_bool(), std::memory_order_relaxed);
-  exited_.store(r.read_bool(), std::memory_order_relaxed);
-  exit_code_.store(r.read_u32(), std::memory_order_relaxed);
-
-  faults_armed_ = r.read_bool();
-  const u64 nfaults = r.read_u64();
-  hart_faults_.clear();
-  for (u64 i = 0; i < nfaults; ++i) {
-    HartFault f;
-    f.hart = r.read_u32();
-    f.at_instret = r.read_u64();
-    f.hang = r.read_bool();
-    f.applied = r.read_bool();
-    if (f.hart >= n) r.fail("hart fault targets an unknown hart");
-    hart_faults_.push_back(f);
-  }
-  hart_hung_ = r.read_vec_u8();
-  if (!hart_hung_.empty() && hart_hung_.size() != n)
-    r.fail("hart hang mask size mismatch");
-  faults_applied_ = r.read_u32();
+  tcache_ = active_ == kNoProgram ? &empty_translation()
+                                  : &resident_[active_]->tcache;
 }
 
 void Machine::on_exit(u32 code) {

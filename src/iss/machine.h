@@ -449,6 +449,10 @@ class Machine {
   std::vector<u8> hart_hung_;  // lanes stuck by an applied hang fault
   u32 faults_applied_ = 0;
 
+  /// The snapshot field list behind save_state/restore_state.
+  template <class Self, class Ar>
+  static void io_state(Self& m, Ar& a);
+
   // ---- convergence batching ----
   bool batching_ = true;
   BatchStats bstats_;

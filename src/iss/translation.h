@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/fingerprint.h"
 #include "rv/decode.h"
 #include "rv/inst.h"
 #include "rvasm/program.h"
@@ -60,24 +61,18 @@ inline u32 program_entry_pc(const rvasm::Program& prog) {
   return it != prog.symbols.end() ? it->second : prog.base;
 }
 
-/// Content identity of a program: FNV-1a over the base address, the entry
-/// point, and every image word. Machine keys its resident-program cache on
-/// this (plus a full compare on hash match), so loading a structurally
-/// identical program - even a distinct rvasm::Program object - finds the
-/// already translated resident entry instead of retranslating. The entry pc
-/// is part of the identity: two identical images whose "_start" symbols
-/// differ execute differently.
+/// Content identity of a program: a Fingerprint (common/fingerprint.h) of
+/// the base address, the entry point, and every image word. Machine keys its
+/// resident-program cache on this (plus a full compare on hash match), so
+/// loading a structurally identical program - even a distinct rvasm::Program
+/// object - finds the already translated resident entry instead of
+/// retranslating. The entry pc is part of the identity: two identical images
+/// whose "_start" symbols differ execute differently.
 inline u64 program_fingerprint(const rvasm::Program& prog) {
-  u64 h = 1469598103934665603ull;  // FNV offset basis
-  const auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ull;  // FNV prime
-  };
-  mix(prog.base);
-  mix(program_entry_pc(prog));
-  mix(prog.words.size());
-  for (const u32 w : prog.words) mix(w);
-  return h;
+  Fingerprint f;
+  f.mix(prog.base, program_entry_pc(prog), prog.words.size());
+  for (const u32 w : prog.words) f.mix(w);
+  return f.value();
 }
 
 /// One predecoded instruction with its superblock and timing metadata.

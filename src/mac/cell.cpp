@@ -1,9 +1,9 @@
 #include "mac/cell.h"
 
-#include <bit>
 #include <cmath>
 
 #include "common/error.h"
+#include "common/fingerprint.h"
 #include "sim/cosim.h"
 
 namespace tsim::mac {
@@ -351,201 +351,59 @@ void Cell::step(u64 tti) {
 
 namespace {
 constexpr u32 kCellTag = 0x314C4543;  // "CEL1"
-
-void save_slot_result(sim::SnapshotWriter& w, const ran::SlotResult& s) {
-  // Stored results are the slim copies (run_slot strips detected_bits and
-  // trace before archiving), so those two fields are not serialized.
-  check(s.detected_bits.empty() && s.trace.empty(),
-        "Cell snapshot: stored SlotResult is not slim");
-  w.write_u64(s.tti);
-  w.write_u64(s.problems);
-  w.write_u64(s.bits);
-  w.write_u64(s.errors);
-  w.write_vec_u64(s.allocation_errors);
-  w.write_vec_u64(s.cluster_busy_cycles);
-  w.write_vec_u32(s.cluster_batches);
-  w.write_vec_u32(s.cluster_reloads);
-  w.write_vec_u64(s.cluster_reload_cycles);
-  w.write_u64(s.total_reloads);
-  w.write_u64(s.total_reload_cycles);
-  w.write_u64(s.total_instructions);
-  w.write_vec_u64(s.symbol_cycles);
-  w.write_u64(s.slot_cycles);
-  w.write_bool(s.degraded);
-  w.write_vec_u32(s.dead_clusters);
-  w.write_u64(s.failed_batches);
-  w.write_u64(s.hart_faults);
-  w.write_u64(s.ecc_corrected);
-  w.write_u64(s.ecc_detected);
-  w.write_u64(s.ecc_silent);
-}
-
-ran::SlotResult load_slot_result(sim::SnapshotReader& r) {
-  ran::SlotResult s;
-  s.tti = r.read_u64();
-  s.problems = r.read_u64();
-  s.bits = r.read_u64();
-  s.errors = r.read_u64();
-  s.allocation_errors = r.read_vec_u64();
-  s.cluster_busy_cycles = r.read_vec_u64();
-  s.cluster_batches = r.read_vec_u32();
-  s.cluster_reloads = r.read_vec_u32();
-  s.cluster_reload_cycles = r.read_vec_u64();
-  s.total_reloads = r.read_u64();
-  s.total_reload_cycles = r.read_u64();
-  s.total_instructions = r.read_u64();
-  s.symbol_cycles = r.read_vec_u64();
-  s.slot_cycles = r.read_u64();
-  s.degraded = r.read_bool();
-  s.dead_clusters = r.read_vec_u32();
-  s.failed_batches = r.read_u64();
-  s.hart_faults = r.read_u64();
-  s.ecc_corrected = r.read_u64();
-  s.ecc_detected = r.read_u64();
-  s.ecc_silent = r.read_u64();
-  return s;
-}
 }  // namespace
 
 u64 Cell::config_fingerprint() const {
-  u64 h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto mixd = [&mix](double d) { mix(std::bit_cast<u64>(d)); };
-  mix(cfg_.cell);
-  mix(cfg_.farm_seed);
-  mix(cfg_.num_ues);
-  mix(cfg_.sc_per_pdu);
-  mix(cfg_.carrier.num_subcarriers());
-  mix(cfg_.carrier.symbols_per_slot);
-  mixd(cfg_.clock_hz);
-  mix(cfg_.groups.size());
-  for (const ran::UeGroup& g : cfg_.groups) {
-    mix(g.ntx);
-    mix(g.nrx);
-    mix(g.qam_order);
-    mixd(g.snr_db);
-    mix(static_cast<u64>(g.channel));
-    mixd(g.weight);
-  }
-  mix(cfg_.harq.num_processes);
-  mix(cfg_.harq.max_attempts);
-  mix(cfg_.harq.enabled ? 1 : 0);
-  mix(cfg_.harq.feedback_timeout_slots);
-  mix(cfg_.burst.enabled ? 1 : 0);
-  mixd(cfg_.burst.duty);
-  mixd(cfg_.burst.mean_on_slots);
-  mixd(cfg_.burst.arrival_prob);
-  mixd(cfg_.burst.diurnal_period_ttis);
-  mixd(cfg_.burst.diurnal_depth);
-  mix(cfg_.pool.num_clusters);
-  mix(static_cast<u64>(cfg_.pool.prec));
-  mix(cfg_.pool.problems_per_core);
-  mix(cfg_.pool.batch_cores);
-  mix(static_cast<u64>(cfg_.pool.policy));
-  mix(cfg_.fault.enabled ? 1 : 0);
-  mix(cfg_.fault.seed);
-  mixd(cfg_.fault.hart_trap_rate);
-  mixd(cfg_.fault.hart_hang_rate);
-  mixd(cfg_.fault.l1_flip_rate);
-  mixd(cfg_.fault.l1_double_bit_fraction);
-  mix(cfg_.fault.ecc ? 1 : 0);
-  mix(cfg_.fault.cluster_fail_tti);
-  mix(cfg_.fault.cluster_fail_id);
-  mixd(cfg_.fault.drop_indication_rate);
-  mixd(cfg_.fault.delay_indication_rate);
-  mix(cfg_.fault.delay_slots);
-  return h;
+  Fingerprint f;
+  f.mix(cfg_.cell, cfg_.farm_seed, cfg_.num_ues, cfg_.sc_per_pdu,
+        cfg_.carrier.num_subcarriers(), cfg_.carrier.symbols_per_slot,
+        cfg_.clock_hz, cfg_.groups.size());
+  for (const ran::UeGroup& g : cfg_.groups)
+    f.mix(g.ntx, g.nrx, g.qam_order, g.snr_db, g.channel, g.weight);
+  const HarqConfig& h = cfg_.harq;
+  f.mix(h.num_processes, h.max_attempts, h.enabled, h.feedback_timeout_slots);
+  const BurstConfig& b = cfg_.burst;
+  f.mix(b.enabled, b.duty, b.mean_on_slots, b.arrival_prob,
+        b.diurnal_period_ttis, b.diurnal_depth);
+  const ran::ClusterPoolConfig& p = cfg_.pool;
+  f.mix(p.num_clusters, p.prec, p.problems_per_core, p.batch_cores, p.policy);
+  const sim::FaultConfig& x = cfg_.fault;
+  f.mix(x.enabled, x.seed, x.hart_trap_rate, x.hart_hang_rate, x.l1_flip_rate,
+        x.l1_double_bit_fraction, x.ecc, x.cluster_fail_tti,
+        x.cluster_fail_id, x.drop_indication_rate, x.delay_indication_rate,
+        x.delay_slots);
+  return f.value();
 }
 
-void Cell::save_state(sim::SnapshotWriter& w) const {
-  w.tag(kCellTag);
-  w.write_u64(config_fingerprint());
-  w.write_u32(ttis_run_);
-  w.write_u64(crc_fail_);
-  w.write_u64(dropped_ind_);
-  w.write_u64(delayed_ind_);
+template <class Self, class Ar>
+void Cell::io_state(Self& c, Ar& a) {
+  a.io_tag(kCellTag, "Cell");
+  a.io_match(c.config_fingerprint(),
+             "snapshot was captured under a different cell configuration");
+  a.io(c.ttis_run_, c.crc_fail_, c.dropped_ind_, c.delayed_ind_);
 
-  w.write_u64(ues_.size());
-  for (const Ue& ue : ues_) {
-    w.write_u32(ue.group);
-    w.write_bool(ue.on);
-    ue.harq.save_state(w);
+  a.io_match(static_cast<u64>(c.ues_.size()), "UE population size mismatch");
+  for (auto& ue : c.ues_) {
+    a.io_match(ue.group, "UE group assignment mismatch");
+    a.io(ue.on, ue.harq);
   }
 
-  w.write_u64(delayed_.size());
-  for (const DelayedInd& d : delayed_) {
-    w.write_u64(d.due_tti);
-    w.write_u32(d.ind.cell);
-    w.write_u64(d.ind.tti);
-    w.write_u64(d.ind.slot_cycles);
-    w.write_bool(d.ind.deadline_met);
-    w.write_u64(d.ind.crcs.size());
-    for (const CrcResult& c : d.ind.crcs) {
-      w.write_u32(c.ue);
-      w.write_u32(c.harq_process);
-      w.write_bool(c.crc_pass);
-      w.write_u64(c.bit_errors);
-      w.write_u64(c.bits);
-    }
-  }
+  a.io_each(c.delayed_, [&](auto& d) {
+    a.io(d.due_tti, d.ind.cell, d.ind.tti, d.ind.slot_cycles,
+         d.ind.deadline_met);
+    a.io_each(d.ind.crcs, [&](auto& r) {
+      a.io(r.ue, r.harq_process, r.crc_pass, r.bit_errors, r.bits);
+      a.expect(r.ue < c.ues_.size(), "delayed indication targets unknown UE");
+    });
+  });
 
-  w.write_u64(results_.size());
-  for (const ran::SlotResult& s : results_) save_slot_result(w, s);
-
-  scheduler_.save_state(w);
+  a.io_each(c.results_, [&a](auto& s) { a.io(s); });
+  a.io(c.scheduler_);
 }
 
-void Cell::restore_state(sim::SnapshotReader& r) {
-  r.expect_tag(kCellTag, "Cell");
-  if (r.read_u64() != config_fingerprint())
-    r.fail("snapshot was captured under a different cell configuration");
-  ttis_run_ = r.read_u32();
-  crc_fail_ = r.read_u64();
-  dropped_ind_ = r.read_u64();
-  delayed_ind_ = r.read_u64();
+void Cell::save_state(sim::SnapshotWriter& w) const { io_state(*this, w); }
 
-  if (r.read_u64() != ues_.size()) r.fail("UE population size mismatch");
-  for (Ue& ue : ues_) {
-    const u32 group = r.read_u32();
-    if (group != ue.group) r.fail("UE group assignment mismatch");
-    ue.on = r.read_bool();
-    ue.harq.restore_state(r);
-  }
-
-  const u64 ndelayed = r.read_u64();
-  delayed_.clear();
-  for (u64 i = 0; i < ndelayed; ++i) {
-    DelayedInd d;
-    d.due_tti = r.read_u64();
-    d.ind.cell = r.read_u32();
-    d.ind.tti = r.read_u64();
-    d.ind.slot_cycles = r.read_u64();
-    d.ind.deadline_met = r.read_bool();
-    const u64 ncrcs = r.read_u64();
-    d.ind.crcs.reserve(ncrcs);
-    for (u64 k = 0; k < ncrcs; ++k) {
-      CrcResult c;
-      c.ue = r.read_u32();
-      c.harq_process = r.read_u32();
-      c.crc_pass = r.read_bool();
-      c.bit_errors = r.read_u64();
-      c.bits = r.read_u64();
-      if (c.ue >= ues_.size()) r.fail("delayed indication targets unknown UE");
-      d.ind.crcs.push_back(c);
-    }
-    delayed_.push_back(std::move(d));
-  }
-
-  const u64 nresults = r.read_u64();
-  results_.clear();
-  results_.reserve(nresults);
-  for (u64 i = 0; i < nresults; ++i) results_.push_back(load_slot_result(r));
-
-  scheduler_.restore_state(r);
-}
+void Cell::restore_state(sim::SnapshotReader& r) { io_state(*this, r); }
 
 CellReport Cell::report() const {
   CellReport rep;

@@ -216,10 +216,11 @@ class Cell {
   }
 
   // ---- checkpoint/restore (sim/snapshot.h) ----
-  /// Identity of the configuration a snapshot belongs to (FNV-1a over every
-  /// parameter that shapes the trajectory). restore_state refuses a payload
-  /// captured under a different fingerprint, so a snapshot from another
-  /// seed/carrier/fault plan fails loudly instead of restoring wrong.
+  /// Identity of the configuration a snapshot belongs to (a Fingerprint,
+  /// common/fingerprint.h, of every parameter that shapes the trajectory).
+  /// restore_state refuses a payload captured under a different
+  /// fingerprint, so a snapshot from another seed/carrier/fault plan fails
+  /// loudly instead of restoring wrong.
   u64 config_fingerprint() const;
   /// Serializes the cell's complete closed-loop state at a TTI boundary:
   /// UE populations (burst state + HARQ processes/soft-buffer bookkeeping,
@@ -284,6 +285,10 @@ class Cell {
   /// restored default never matches the next TTI stepped.
   u64 last_burst_tti_ = ~0ull;
   u64 ff_idle_ttis_ = 0;  // quiescent TTIs short-circuited by step()
+
+  /// The snapshot field list behind save_state/restore_state.
+  template <class Self, class Ar>
+  static void io_state(Self& c, Ar& a);
 };
 
 }  // namespace tsim::mac

@@ -116,6 +116,19 @@ namespace {
 /// Payload discriminator of a farm per-cell snapshot file ("CELL").
 constexpr u32 kCellSnapshotKind = 0x4C4C4543;
 
+/// Payload of a per-cell snapshot file: the cell id and the TTI in front of
+/// the cell state (the supervisor's ladder preview reads the id alone).
+/// Returns the header TTI.
+template <class C, class Ar>
+u64 io_cell_file(C& cell, Ar& a) {
+  a.io_match(cell.config().cell, "snapshot belongs to a different cell");
+  u64 tti = cell.ttis_run();
+  a.io(tti, cell);
+  a.expect(tti == cell.ttis_run(),
+           "snapshot TTI header disagrees with the restored state");
+  return tti;
+}
+
 /// Climbs the snapshot ladder for cell `cell`: newest valid snapshot first,
 /// older ones on corruption, clean construction when none loads. Sets
 /// *resumed_from to the snapshot TTI (-1 = clean start).
@@ -153,9 +166,7 @@ void save_cell_snapshot(const Cell& cell, const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);  // write reports real failures
   sim::SnapshotWriter w;
-  w.write_u32(cell.config().cell);
-  w.write_u64(cell.ttis_run());
-  cell.save_state(w);
+  io_cell_file(cell, w);
   sim::write_snapshot_file(
       cell_snapshot_path(dir, cell.config().cell, cell.ttis_run()),
       kCellSnapshotKind, w.payload());
@@ -163,13 +174,8 @@ void save_cell_snapshot(const Cell& cell, const std::string& dir) {
 
 u64 load_cell_snapshot(Cell& cell, const std::string& path) {
   sim::SnapshotReader r(sim::read_snapshot_file(path, kCellSnapshotKind), path);
-  const u32 id = r.read_u32();
-  if (id != cell.config().cell) r.fail("snapshot belongs to a different cell");
-  const u64 tti = r.read_u64();
-  cell.restore_state(r);
+  const u64 tti = io_cell_file(cell, r);
   r.expect_end();
-  if (tti != cell.ttis_run())
-    r.fail("snapshot TTI header disagrees with the restored state");
   return tti;
 }
 
@@ -206,16 +212,19 @@ CellReport run_cell(const FarmConfig& cfg, u32 cell, bool allow_resume,
     c = std::make_unique<Cell>(cfg.cell_config(cell));
   if (resumed_from != nullptr) *resumed_from = from;
   const bool ckpt = cfg.checkpoint_every > 0 && !cfg.checkpoint_dir.empty();
-  for (u32 t = static_cast<u32>(c->ttis_run()); t < cfg.ttis; ++t) {
+  const u32 first = c->ttis_run();
+  for (u32 t = first; t < cfg.ttis; ++t) {
     c->step(t);
     // Snapshot at interval boundaries; the final TTI is never snapshotted
     // (a finished run has nothing left to resume).
     if (ckpt && (t + 1) % cfg.checkpoint_every == 0 && t + 1 < cfg.ttis)
       save_cell_snapshot(*c, cfg.checkpoint_dir);
   }
+  // The fast-forward counters are not snapshotted: a resumed cell's
+  // counters start at its restore point, so its TTI count does too.
   if (ff != nullptr)
     *ff += FarmResult::FfActivity{c->ff_batch_stats(), c->ff_idle_ttis(),
-                                  c->ttis_run()};
+                                  c->ttis_run() - first};
   return c->report();
 }
 

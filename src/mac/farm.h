@@ -169,11 +169,12 @@ struct FarmResult {
   /// fast-forward skipped. Diagnostics only - never part of CellReport or
   /// any JSON surface (the bit-exactness contract compares those). Workers
   /// send theirs in the shard frame, so a clean run reports the same totals
-  /// at every shard count.
+  /// at every shard count. The counters are not snapshotted, so a resumed
+  /// cell counts only the TTIs it stepped after its restore point.
   struct FfActivity {
     ran::SlotScheduler::FastForwardStats batches;  // batch shrink counters
     u64 idle_ttis = 0;  // quiescent TTIs skipped wholesale
-    u64 ttis = 0;       // cell-TTIs run
+    u64 ttis = 0;       // cell-TTIs this process stepped
     FfActivity& operator+=(const FfActivity& o) {
       batches += o.batches;
       idle_ttis += o.idle_ttis;

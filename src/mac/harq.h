@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -217,31 +216,8 @@ class HarqEntity {
   /// sent TTIs, so feedback timeouts resume exactly) plus the lifetime
   /// stats. The config is NOT serialized - restore_state requires an entity
   /// constructed with the same HarqConfig.
-  void save_state(sim::SnapshotWriter& w) const {
-    w.write_u64(processes_.size());
-    for (const Process& p : processes_) {
-      w.write_bool(p.active);
-      w.write_bool(p.in_flight);
-      w.write_u32(p.attempts);
-      w.write_u64(p.bits);
-      w.write_u64(p.sent_tti);
-    }
-    // The stats are u64s only: their bytes, in declaration order.
-    static_assert(std::has_unique_object_representations_v<HarqStats>);
-    w.write_bytes(&stats_, sizeof stats_);
-  }
-  void restore_state(sim::SnapshotReader& r) {
-    if (r.read_u64() != processes_.size())
-      r.fail("HARQ process count does not match this configuration");
-    for (Process& p : processes_) {
-      p.active = r.read_bool();
-      p.in_flight = r.read_bool();
-      p.attempts = r.read_u32();
-      p.bits = r.read_u64();
-      p.sent_tti = r.read_u64();
-    }
-    r.read_bytes(&stats_, sizeof stats_);
-  }
+  void save_state(sim::SnapshotWriter& w) const { io_state(*this, w); }
+  void restore_state(sim::SnapshotReader& r) { io_state(*this, r); }
 
  private:
   struct Process {
@@ -251,6 +227,15 @@ class HarqEntity {
     u64 bits = 0;
     u64 sent_tti = 0;        // TTI of the latest transmission
   };
+
+  template <class Self, class Ar>
+  static void io_state(Self& h, Ar& a) {
+    a.io_match(static_cast<u64>(h.processes_.size()),
+               "HARQ process count does not match this configuration");
+    for (auto& p : h.processes_)
+      a.io(p.active, p.in_flight, p.attempts, p.bits, p.sent_tti);
+    a.io_pod(h.stats_);  // u64s only: their bytes, in declaration order
+  }
 
   Process& process(u32 p) {
     check(p < processes_.size(), "HarqEntity: process id out of range");

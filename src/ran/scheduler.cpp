@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/error.h"
+#include "common/fingerprint.h"
 #include "common/rng.h"
 #include "phy/channel.h"
 #include "sim/cosim.h"
@@ -120,35 +121,16 @@ SlotScheduler::SlotScheduler(const ClusterPoolConfig& cfg, std::vector<UeGroup> 
 
 u64 SlotScheduler::warm_key(const ClusterPoolConfig& cfg,
                             const std::vector<UeGroup>& groups) {
-  u64 h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
   const tera::TeraPoolConfig& c = cfg.cluster;
-  mix(c.cores_per_tile);
-  mix(c.tiles_per_subgroup);
-  mix(c.subgroups_per_group);
-  mix(c.groups);
-  mix(c.tile_l1_bytes);
-  mix(c.banks_per_tile);
-  mix(c.icache_bytes);
-  mix(c.icache_line_bytes);
-  mix(c.l2_bytes);
-  mix(c.lat_local_tile);
-  mix(c.lat_same_subgroup);
-  mix(c.lat_same_group);
-  mix(c.lat_remote_group);
-  mix(c.lat_l2);
-  mix(static_cast<u64>(cfg.prec));
-  mix(cfg.problems_per_core);
-  mix(cfg.batch_cores);
-  mix(groups.size());
-  for (const UeGroup& g : groups) {
-    mix(g.ntx);
-    mix(g.nrx);
-  }
-  return h;
+  Fingerprint f;
+  f.mix(c.cores_per_tile, c.tiles_per_subgroup, c.subgroups_per_group,
+        c.groups, c.tile_l1_bytes, c.banks_per_tile, c.icache_bytes,
+        c.icache_line_bytes, c.l2_bytes);
+  f.mix(c.lat_local_tile, c.lat_same_subgroup, c.lat_same_group,
+        c.lat_remote_group, c.lat_l2);
+  f.mix(cfg.prec, cfg.problems_per_core, cfg.batch_cores, groups.size());
+  for (const UeGroup& g : groups) f.mix(g.ntx, g.nrx);
+  return f.value();
 }
 
 SlotScheduler::WarmState SlotScheduler::export_warm_state() const {
@@ -221,62 +203,43 @@ namespace {
 constexpr u32 kSchedulerTag = 0x31484353;  // "SCH1"
 }
 
-void SlotScheduler::save_state(sim::SnapshotWriter& w) const {
-  w.tag(kSchedulerTag);
-  w.write_u64(geometries_.size());
-  w.write_u64(clusters_.size());
-  for (const Cluster& c : clusters_) {
-    w.write_i64(c.loaded_geometry);
-    w.write_u64(c.geometry_handles.size());
-    for (const i64 h : c.geometry_handles) w.write_i64(h);
-    w.write_u64(c.variants.size());
-    for (const Cluster::Variant& v : c.variants) {
-      w.write_u32(v.geometry);
-      w.write_u32(v.cores);
-      w.write_i64(v.handle);
-    }
-    c.machine->save_state(w);
+template <class Self, class Ar>
+void SlotScheduler::io_state(Self& s, Ar& a) {
+  a.io_tag(kSchedulerTag, "SlotScheduler");
+  const u64 ngeo = s.geometries_.size();
+  a.io_match(ngeo,
+             "scheduler snapshot geometry count does not match this config");
+  a.io_match(static_cast<u64>(s.clusters_.size()),
+             "scheduler snapshot cluster count does not match this config");
+  for (auto& c : s.clusters_) {
+    a.io(c.loaded_geometry);
+    a.expect(c.loaded_geometry >= -1 &&
+                 c.loaded_geometry < static_cast<i64>(ngeo),
+             "loaded_geometry out of range");
+    a.io(c.geometry_handles);
+    a.expect(c.geometry_handles.size() == ngeo,
+             "geometry handle table size mismatch");
+    a.io_each(c.variants, [&a, ngeo](auto& v) {
+      a.io(v.geometry, v.cores, v.handle);
+      a.expect(v.geometry < ngeo, "variant geometry out of range");
+    });
+    a.io(*c.machine);
+    const auto resident = static_cast<i64>(c.machine->num_resident_programs());
+    for (const i64 h : c.geometry_handles)
+      a.expect(h >= -1 && h < resident,
+               "geometry handle out of range after machine restore");
+    for (const Cluster::Variant& v : c.variants)
+      a.expect(v.handle >= -1 && v.handle < resident,
+               "variant handle out of range after machine restore");
   }
 }
 
+void SlotScheduler::save_state(sim::SnapshotWriter& w) const {
+  io_state(*this, w);
+}
+
 void SlotScheduler::restore_state(sim::SnapshotReader& r) {
-  r.expect_tag(kSchedulerTag, "SlotScheduler");
-  if (r.read_u64() != geometries_.size())
-    r.fail("scheduler snapshot geometry count does not match this config");
-  if (r.read_u64() != clusters_.size())
-    r.fail("scheduler snapshot cluster count does not match this config");
-  for (Cluster& c : clusters_) {
-    const i64 loaded = r.read_i64();
-    if (loaded < -1 || loaded >= static_cast<i64>(geometries_.size()))
-      r.fail("loaded_geometry out of range");
-    const u64 nh = r.read_u64();
-    if (nh != geometries_.size()) r.fail("geometry handle table size mismatch");
-    std::vector<i64> handles(nh);
-    for (i64& h : handles) h = r.read_i64();
-    const u64 nv = r.read_u64();
-    std::vector<Cluster::Variant> variants(nv);
-    for (Cluster::Variant& v : variants) {
-      v.geometry = r.read_u32();
-      v.cores = r.read_u32();
-      v.handle = r.read_i64();
-      if (v.geometry >= geometries_.size())
-        r.fail("variant geometry out of range");
-    }
-    c.machine->restore_state(r);
-    for (const i64 h : handles) {
-      if (h < -1 ||
-          h >= static_cast<i64>(c.machine->num_resident_programs()))
-        r.fail("geometry handle out of range after machine restore");
-    }
-    for (const Cluster::Variant& v : variants) {
-      if (v.handle < -1 ||
-          v.handle >= static_cast<i64>(c.machine->num_resident_programs()))
-        r.fail("variant handle out of range after machine restore");
-    }
-    c.loaded_geometry = loaded;
-    c.geometry_handles = std::move(handles);
-    c.variants = std::move(variants);
-  }
+  io_state(*this, r);
 }
 
 void SlotScheduler::calibrate_geometry_costs() {

@@ -154,6 +154,8 @@ struct BatchTrace {
   u32 ecc_detected = 0;   // double-bit L1 upsets detected (word corrupted)
   u32 ecc_silent = 0;     // ECC-off L1 upsets (silent corruption)
   bool failed = false;    // run did not complete; batch bits count as errors
+
+  bool operator==(const BatchTrace&) const = default;
 };
 
 /// Everything the scheduler measured and detected for one TTI.
@@ -201,6 +203,23 @@ struct SlotResult {
 
   double ber() const {
     return bits == 0 ? 0.0 : static_cast<double>(errors) / static_cast<double>(bits);
+  }
+
+  bool operator==(const SlotResult&) const = default;
+
+  /// Snapshot field list (sim/snapshot.h). Only slim results are
+  /// snapshotted (mac::Cell archives copies without detected_bits and
+  /// trace), so those two fields are not part of it.
+  template <class Self, class Ar>
+  static void io_state(Self& s, Ar& a) {
+    check(s.detected_bits.empty() && s.trace.empty(),
+          "SlotResult snapshot: result is not slim");
+    a.io(s.tti, s.problems, s.bits, s.errors, s.allocation_errors,
+         s.cluster_busy_cycles, s.cluster_batches, s.cluster_reloads,
+         s.cluster_reload_cycles, s.total_reloads, s.total_reload_cycles,
+         s.total_instructions, s.symbol_cycles, s.slot_cycles, s.degraded,
+         s.dead_clusters, s.failed_batches, s.hart_faults, s.ecc_corrected,
+         s.ecc_detected, s.ecc_silent);
   }
 };
 
@@ -363,6 +382,9 @@ class SlotScheduler {
                                                const std::vector<u8>& alive) const;
   void run_batch(Cluster& cluster, const BatchTask& task, const SlotWorkload& slot,
                  SlotResult& result, u32 batch_index);
+  /// The snapshot field list behind save_state/restore_state.
+  template <class Self, class Ar>
+  static void io_state(Self& s, Ar& a);
 
   ClusterPoolConfig cfg_;
   std::vector<UeGroup> groups_;

@@ -160,9 +160,6 @@ void ClusterMemory::reset_l1() {
 
 namespace {
 constexpr u32 kMemoryTag = 0x314D454D;  // "MEM1"
-}
-
-namespace {
 
 // Guest memories are serialized with a zero-run-length encoding: an idle L2
 // is almost entirely zero words, and snapshot cost is bound by bytes pushed
@@ -173,10 +170,11 @@ namespace {
 //   u64 zero_run, u64 literal_run, literal_run raw u32 words
 // until the total is covered. A literal run may contain short interior zero
 // gaps (fewer than kMinZeroRun words) so sparse-but-live regions don't
-// explode into per-word records.
+// explode into per-word records. The coder is an algorithm, not a field
+// list, so it keeps separate save and load overloads of code_words.
 constexpr size_t kMinZeroRun = 32;
 
-void write_mem_words(sim::SnapshotWriter& w, const std::vector<u32>& v) {
+void code_words(sim::SnapshotWriter& w, const std::vector<u32>& v) {
   const size_t n = v.size();
   w.write_u64(n);
   size_t i = 0;
@@ -203,12 +201,11 @@ void write_mem_words(sim::SnapshotWriter& w, const std::vector<u32>& v) {
   }
 }
 
-void read_mem_words(sim::SnapshotReader& r, std::vector<u32>& out,
-                    size_t expected_words) {
+void code_words(sim::SnapshotReader& r, std::vector<u32>& out) {
   const u64 n = r.read_u64();
-  if (n != expected_words)
+  if (n != out.size())
     r.fail("memory snapshot sizes do not match this configuration");
-  std::vector<u32> v(expected_words, 0);
+  std::vector<u32> v(out.size(), 0);
   u64 pos = 0;
   while (pos < n) {
     const u64 zero_run = r.read_u64();
@@ -227,20 +224,21 @@ void read_mem_words(sim::SnapshotReader& r, std::vector<u32>& out,
 
 }  // namespace
 
+template <class Self, class Ar>
+void ClusterMemory::io_state(Self& m, Ar& a) {
+  a.io_tag(kMemoryTag, "ClusterMemory");
+  code_words(a, m.l1_);
+  code_words(a, m.l2_);
+  code_words(a, m.mmio_);
+  a.io(m.console_);
+}
+
 void ClusterMemory::save_state(sim::SnapshotWriter& w) const {
-  w.tag(kMemoryTag);
-  write_mem_words(w, l1_);
-  write_mem_words(w, l2_);
-  write_mem_words(w, mmio_);
-  w.write_string(console_);
+  io_state(*this, w);
 }
 
 void ClusterMemory::restore_state(sim::SnapshotReader& r) {
-  r.expect_tag(kMemoryTag, "ClusterMemory");
-  read_mem_words(r, l1_, l1_.size());
-  read_mem_words(r, l2_, l2_.size());
-  read_mem_words(r, mmio_, mmio_.size());
-  console_ = r.read_string();
+  io_state(*this, r);
 }
 
 }  // namespace tsim::tera

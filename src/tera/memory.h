@@ -134,6 +134,10 @@ class ClusterMemory final : public rv::MemIface {
   /// inside a host-contiguous region (interleaved L1 or L2); else nullptr.
   const u32* contiguous_words(u32 addr, size_t nwords) const;
 
+  /// The snapshot field list behind save_state/restore_state.
+  template <class Self, class Ar>
+  static void io_state(Self& m, Ar& a);
+
   AddrMap map_;
   std::vector<u32> l1_;
   std::vector<u32> l2_;

@@ -127,6 +127,16 @@ ran::ClusterPoolConfig shrink_pool(bool fast_forward) {
   return cfg;
 }
 
+/// Whole-record comparison of a cycle-by-cycle and a fast-forwarded slot:
+/// every field must match except the host-retired instruction counts, which
+/// the shrink lowers (and which feed no report).
+bool same_modeled_slot(ran::SlotResult a, ran::SlotResult b) {
+  a.total_instructions = b.total_instructions = 0;
+  for (ran::BatchTrace& t : a.trace) t.instructions = 0;
+  for (ran::BatchTrace& t : b.trace) t.instructions = 0;
+  return a == b;
+}
+
 TEST(FastForwardScheduler, ShrunkBatchesKeepModeledAccountingBitExact) {
   ran::TrafficGenerator gen(partial_traffic());
   ran::SlotScheduler slow(shrink_pool(false), partial_traffic().groups);
@@ -139,17 +149,7 @@ TEST(FastForwardScheduler, ShrunkBatchesKeepModeledAccountingBitExact) {
     const ran::SlotResult b = fast.run_slot(slot);
 
     // Everything modeled is identical...
-    EXPECT_EQ(a.slot_cycles, b.slot_cycles) << "tti " << tti;
-    EXPECT_EQ(a.total_reloads, b.total_reloads) << "tti " << tti;
-    EXPECT_EQ(a.total_reload_cycles, b.total_reload_cycles) << "tti " << tti;
-    EXPECT_EQ(a.cluster_busy_cycles, b.cluster_busy_cycles) << "tti " << tti;
-    EXPECT_EQ(a.allocation_errors, b.allocation_errors) << "tti " << tti;
-    EXPECT_EQ(a.detected_bits, b.detected_bits) << "tti " << tti;
-    ASSERT_EQ(a.trace.size(), b.trace.size());
-    for (size_t i = 0; i < a.trace.size(); ++i) {
-      EXPECT_EQ(a.trace[i].cycles, b.trace[i].cycles) << "batch " << i;
-      EXPECT_EQ(a.trace[i].reloads, b.trace[i].reloads) << "batch " << i;
-    }
+    EXPECT_TRUE(same_modeled_slot(a, b)) << "tti " << tti;
     slow_instr += a.total_instructions;
     fast_instr += b.total_instructions;
   }
@@ -192,10 +192,7 @@ TEST(FastForwardScheduler, WideClusterWakerTailStaysBitExact) {
     const ran::SlotWorkload slot = gen.slot(tti);
     const ran::SlotResult a = slow.run_slot(slot);
     const ran::SlotResult b = fast.run_slot(slot);
-    EXPECT_EQ(a.slot_cycles, b.slot_cycles) << "tti " << tti;
-    ASSERT_EQ(a.trace.size(), b.trace.size());
-    for (size_t i = 0; i < a.trace.size(); ++i)
-      EXPECT_EQ(a.trace[i].cycles, b.trace[i].cycles) << "batch " << i;
+    EXPECT_TRUE(same_modeled_slot(a, b)) << "tti " << tti;
   }
   EXPECT_GT(fast.fast_forward_stats().shrunk_batches, 0u);
 }
@@ -248,11 +245,9 @@ TEST(FastForwardCell, SkippedIdleTtisLeaveTheReportBitIdentical) {
   EXPECT_TRUE(slow.report() == fast.report());
   // The archived per-slot results the percentiles read are identical too.
   ASSERT_EQ(slow.slot_results().size(), fast.slot_results().size());
-  for (size_t i = 0; i < slow.slot_results().size(); ++i) {
-    EXPECT_EQ(slow.slot_results()[i].tti, fast.slot_results()[i].tti);
-    EXPECT_EQ(slow.slot_results()[i].slot_cycles,
-              fast.slot_results()[i].slot_cycles);
-  }
+  for (size_t i = 0; i < slow.slot_results().size(); ++i)
+    EXPECT_TRUE(slow.slot_results()[i] == fast.slot_results()[i])
+        << "slot " << i;
   // Observability for the README's measured skip ratio.
   std::printf("[ff] quiescent TTIs skipped: %llu / %u (%.0f%%)\n",
               static_cast<unsigned long long>(fast.ff_idle_ttis()), ttis,

@@ -7,16 +7,19 @@
 // ladder, and checkpoint-resumed crash recovery.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "iss/machine.h"
 #include "kernels/mmse_program.h"
 #include "mac/farm.h"
 #include "mac/harq.h"
+#include "rvasm/textasm.h"
 #include "sim/cosim.h"
 #include "sim/snapshot.h"
 
@@ -164,6 +167,71 @@ TEST(Snapshot, ReaderRejectsCorruptLengthAndBadTag) {
     } catch (const sim::SnapshotError& e) {
       EXPECT_EQ(e.file(), "some_file.snap");
       EXPECT_EQ(e.offset(), 0u);
+    }
+  }
+}
+
+/// A record with one field list, driven both ways like the stateful layers.
+struct TwoWayRecord {
+  u32 id = 0;
+  bool live = false;
+  std::atomic<u8> state{0};
+  std::string name;
+  std::vector<u64> words;
+  std::vector<std::unique_ptr<u32>> boxes;
+
+  template <class Self, class Ar>
+  static void io_state(Self& s, Ar& a) {
+    a.io_tag(0x57415954, "TwoWayRecord");
+    a.io_match(u32{7}, "wrong record shape");
+    a.io(s.id, s.live, s.state, s.name, s.words);
+    a.expect(s.state.load() < 3, "state out of range");
+    a.io_each(s.boxes, [&a](auto& b) { a.io(b); });
+  }
+};
+
+TEST(Snapshot, TwoWayPrimitivesRoundTripAndCheckOnLoad) {
+  TwoWayRecord in;
+  in.id = 42;
+  in.live = true;
+  in.state = 2;
+  in.name = "cell";
+  in.words = {1, 2, 3};
+  in.boxes.push_back(std::make_unique<u32>(9));
+  sim::SnapshotWriter w;
+  w.io(in);
+
+  TwoWayRecord out;
+  sim::SnapshotReader r(w.payload());
+  r.io(out);
+  EXPECT_NO_THROW(r.expect_end());
+  EXPECT_EQ(out.id, 42u);
+  EXPECT_TRUE(out.live);
+  EXPECT_EQ(out.state.load(), 2);
+  EXPECT_EQ(out.name, "cell");
+  EXPECT_EQ(out.words, (std::vector<u64>{1, 2, 3}));
+  ASSERT_EQ(out.boxes.size(), 1u);
+  EXPECT_EQ(*out.boxes[0], 9u);
+
+  // Each load-side check fires at its field: the match, the range check,
+  // and a sequence count larger than the bytes left (refused before any
+  // element is allocated).
+  const std::pair<size_t, const char*> cases[] = {
+      {4, "wrong record shape"},
+      {13, "state out of range"},
+      {w.size() - 4 - 1, "length overruns payload"},  // count's top byte
+  };
+  for (const auto& [at, what] : cases) {
+    std::string bad = w.payload();
+    bad[at] = static_cast<char>(0x7F);
+    TwoWayRecord x;
+    sim::SnapshotReader rb(bad);
+    try {
+      rb.io(x);
+      ADD_FAILURE() << "byte " << at << " corrupted but the load passed";
+    } catch (const sim::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
     }
   }
 }
@@ -408,6 +476,127 @@ TEST(Snapshot, CellRestoreRefusesForeignFingerprint) {
 }
 
 // ---------------------------------------------------------------------------
+// Format known answers: payload CRCs and config fingerprints pinned at the
+// values the format was frozen with, so a codec change that moves one byte
+// fails here, not at a user's resume.
+// ---------------------------------------------------------------------------
+
+/// A HARQ entity mid-run: one block NACKed and retransmitted in flight, one
+/// first transmission awaiting feedback, one ACKed and freed.
+mac::HarqEntity harq_mid_run() {
+  mac::HarqEntity harq(mac::HarqConfig{4, 4, true, 3});
+  harq.start_new_data(100, 3);
+  harq.start_new_data(60, 4);
+  harq.start_new_data(40, 4);
+  harq.on_feedback(0, false);
+  harq.on_feedback(2, true);
+  harq.grant_retx(0, 6);
+  return harq;
+}
+
+/// Integer-only two-hart program: hart 1 parks in wfi, hart 0 counts and
+/// stores into L1. No floating point, so the payload bytes depend on no
+/// math library.
+std::unique_ptr<iss::Machine> integer_machine_mid_run() {
+  auto m = std::make_unique<iss::Machine>(tera::TeraPoolConfig::tiny(),
+                                          iss::TimingConfig{}, 2);
+  m->load_program(rvasm::assemble(R"(
+    _start:
+      csrr t0, mhartid
+      bnez t0, park
+      li t1, 0x100
+      li t2, 0
+      li t3, 1000
+    loop:
+      addi t2, t2, 3
+      sw t2, 0(t1)
+      addi t1, t1, 4
+      addi t3, t3, -1
+      bnez t3, loop
+      li t4, 0x40000000
+      sw t2, 0(t4)
+    park:
+      wfi
+      j park
+  )"));
+  m->inject_hart_fault(0, 4000, /*hang=*/true);  // armed, fires past the cut
+  const iss::RunResult cut = m->run(300);
+  EXPECT_FALSE(cut.exited);
+  EXPECT_TRUE(m->hart(1).state.in_wfi);
+  EXPECT_EQ(m->hart_faults_applied(), 0u);
+  return m;
+}
+
+TEST(SnapshotFormat, PayloadCrcsArePinned) {
+  sim::SnapshotWriter h;
+  harq_mid_run().save_state(h);
+  EXPECT_EQ(h.size(), 176u);
+  EXPECT_EQ(sim::crc32(h.payload().data(), h.size()), 0x6be50062u);
+
+  const std::string m = machine_payload(*integer_machine_mid_run());
+  EXPECT_EQ(m.size(), 1645u);
+  EXPECT_EQ(sim::crc32(m.data(), m.size()), 0x8f64085du);
+}
+
+TEST(SnapshotFormat, ConfigFingerprintsArePinned) {
+  rvasm::Program prog = rvasm::assemble("_start:\n  li a0, 5\n  wfi\n");
+  EXPECT_EQ(iss::program_fingerprint(prog), 15375526749538582609ull);
+
+  ran::ClusterPoolConfig pool;
+  pool.problems_per_core = 2;
+  pool.batch_cores = 8;
+  EXPECT_EQ(ran::SlotScheduler::warm_key(pool, ran::mixed_geometry_groups()),
+            382873630884338569ull);
+
+  mac::FarmConfig cfg = small_farm();
+  cfg.fault.enabled = true;
+  cfg.fault.drop_indication_rate = 0.25;
+  cfg.burst.enabled = true;
+  cfg.harq.feedback_timeout_slots = 2;
+  EXPECT_EQ(mac::Cell(cfg.cell_config(1)).config_fingerprint(),
+            5473473222646957195ull);
+}
+
+TEST(SnapshotFormat, SlimSlotResultRoundTripsThroughItsFieldList) {
+  ran::SlotResult s;
+  s.tti = 41;
+  s.problems = 96;
+  s.bits = 3072;
+  s.errors = 5;
+  s.allocation_errors = {0, 5, 0};
+  s.cluster_busy_cycles = {1200, 900};
+  s.cluster_batches = {3, 2};
+  s.cluster_reloads = {1, 0};
+  s.cluster_reload_cycles = {77, 0};
+  s.total_reloads = 1;
+  s.total_reload_cycles = 77;
+  s.total_instructions = 123456;
+  s.symbol_cycles = {600, 600};
+  s.slot_cycles = 1200;
+  s.degraded = true;
+  s.dead_clusters = {1};
+  s.failed_batches = 2;
+  s.hart_faults = 3;
+  s.ecc_corrected = 4;
+  s.ecc_detected = 6;
+  s.ecc_silent = 7;
+
+  sim::SnapshotWriter w;
+  w.io(s);
+  sim::SnapshotReader r(w.payload());
+  ran::SlotResult t;
+  r.io(t);
+  EXPECT_NO_THROW(r.expect_end());
+  EXPECT_TRUE(s == t);
+
+  // Only slim results are snapshotted: detected bits must not be dropped
+  // silently.
+  s.detected_bits = {{1, 0}};
+  sim::SnapshotWriter fat;
+  EXPECT_THROW(fat.io(s), SimError);
+}
+
+// ---------------------------------------------------------------------------
 // Farm snapshot files, the resume ladder, and checkpointed recovery.
 // ---------------------------------------------------------------------------
 
@@ -487,6 +676,42 @@ TEST(Snapshot, EveryTruncationAndBitFlipOfARealSnapshotFails) {
     EXPECT_THROW(sim::decode_snapshot(bad, kind, "harq"), sim::SnapshotError)
         << "bit " << bit << " flipped";
   }
+}
+
+TEST(Snapshot, ResumedCellReportsFastForwardActivityOfItsOwnTtis) {
+  // The fast-forward counters are not snapshotted, so a cell resumed at TTI
+  // k must report the activity of TTIs k..N only - TTI count and batch
+  // counters over the same horizon.
+  ScratchDir dir("ffresume");
+  mac::FarmConfig cfg = small_farm();
+  cfg.ttis = 24;
+  cfg.pool.fast_forward = true;
+  cfg.pool.problems_per_core = 1;  // 4-problem PDUs leave batches to shrink
+  cfg.checkpoint_every = 8;
+  cfg.checkpoint_dir = dir.path;
+  mac::run_cell(cfg, 0);
+
+  const u32 k = 16;
+  mac::Cell clean(cfg.cell_config(0));
+  for (u32 t = 0; t < k; ++t) clean.step(t);
+  const ran::SlotScheduler::FastForwardStats at_k = clean.ff_batch_stats();
+  const u64 idle_k = clean.ff_idle_ttis();
+  for (u32 t = k; t < cfg.ttis; ++t) clean.step(t);
+  const ran::SlotScheduler::FastForwardStats at_n = clean.ff_batch_stats();
+
+  i64 from = -1;
+  mac::FarmResult::FfActivity ff;
+  const mac::CellReport resumed = mac::run_cell(cfg, 0, true, &from, &ff);
+  ASSERT_EQ(from, k);
+  EXPECT_TRUE(resumed == clean.report());
+  EXPECT_EQ(ff.ttis, cfg.ttis - k);
+  EXPECT_EQ(ff.idle_ttis, clean.ff_idle_ttis() - idle_k);
+  EXPECT_EQ(ff.batches.full_batches, at_n.full_batches - at_k.full_batches);
+  EXPECT_EQ(ff.batches.shrunk_batches,
+            at_n.shrunk_batches - at_k.shrunk_batches);
+  EXPECT_EQ(ff.batches.cores_full, at_n.cores_full - at_k.cores_full);
+  EXPECT_EQ(ff.batches.cores_run, at_n.cores_run - at_k.cores_run);
+  EXPECT_GT(ff.batches.shrunk_batches, 0u);
 }
 
 TEST(Snapshot, CheckpointedCrashRecoveryResumesAndMatchesClean) {
