@@ -18,11 +18,13 @@
 //
 // Fault injection & supervision (sim/fault.h + the mac/farm.h supervisor):
 // --policy fail_fast|retry|degrade, --attempts N, --shard-timeout SECS,
-// --inject-shard-crash/stall/garble S (host-level worker faults; recovery
-// under --policy retry is byte-identical to a clean run - CI's fault-smoke
-// step diffs the JSON), --fault-seed S, --hart-trap-rate/--hart-hang-rate R,
-// --l1-flip-rate R, --no-ecc, --cluster-fail TTI [--cluster-fail-cluster C],
-// --drop-ind/--delay-ind R, --delay-slots N, --harq-timeout SLOTS.
+// --inject-shard-crash/stall/garble S (host-level worker faults: a crash
+// mid-frame, a hang, or a truncated CRC-framed shard frame with a clean
+// exit; recovery under --policy retry is byte-identical to a clean run -
+// CI's fault-smoke step diffs the JSON report), --fault-seed S,
+// --hart-trap-rate/--hart-hang-rate R, --l1-flip-rate R, --no-ecc,
+// --cluster-fail TTI [--cluster-fail-cluster C], --drop-ind/--delay-ind R,
+// --delay-slots N, --harq-timeout SLOTS.
 //
 // Checkpoint / resume / bisect (mac/farm.h snapshot ladder):
 // --checkpoint-every N --checkpoint-dir DIR write atomic per-cell snapshots
@@ -140,7 +142,7 @@ void print_usage(std::FILE* f, const char* prog) {
   std::fprintf(f, "  --shard-timeout SECS  wall-clock bound per worker (0 = off)\n");
   std::fprintf(f, "  --inject-shard-crash S   shard S crashes mid-stream\n");
   std::fprintf(f, "  --inject-shard-stall S   shard S hangs (needs a timeout)\n");
-  std::fprintf(f, "  --inject-shard-garble S  shard S emits truncated JSON\n");
+  std::fprintf(f, "  --inject-shard-garble S  shard S emits a truncated shard frame\n");
   std::fprintf(f, "  --fault-attempts N  host faults fire while attempt <= N\n");
   std::fprintf(f, "  --fault-seed S      fault stream seed (default 0xF417)\n");
   std::fprintf(f, "  --hart-trap-rate R  P(transient hart trap | batch run)\n");
@@ -417,9 +419,12 @@ int run(int argc, char** argv) {
               static_cast<double>(total.p99_cycles) / cfg.clock_hz * 1e6,
               static_cast<double>(total.worst_cycles) / cfg.clock_hz * 1e6,
               static_cast<unsigned long long>(total.harq.soft_buffer_peak_bits));
-  std::printf("host: %u cell-TTIs in %.2f s wall clock (%.0f TTI/s)\n",
-              cfg.cells * cfg.ttis, wall_s,
-              wall_s > 0 ? cfg.cells * cfg.ttis / wall_s : 0.0);
+  // A resumed run steps only the TTIs after its restore point; ff.ttis
+  // counts exactly those, with fast-forward on or off.
+  const u64 stepped = result.ff.ttis;
+  std::printf("host: %llu cell-TTIs in %.2f s wall clock (%.0f TTI/s)\n",
+              static_cast<unsigned long long>(stepped), wall_s,
+              wall_s > 0 ? static_cast<double>(stepped) / wall_s : 0.0);
 
   // Host-side fast-forward activity, summed over every cell whichever
   // process ran it (reports and JSON stay byte-identical either way - this

@@ -225,9 +225,9 @@ inline IndicationFaultDraw draw_indication_fault(const FaultConfig& cfg,
 struct HostFaultConfig {
   static constexpr u32 kNone = ~0u;
 
-  u32 crash_shard = kNone;   // worker _exits mid-stream with partial JSON
+  u32 crash_shard = kNone;   // worker _exits mid-stream with a partial frame
   u32 stall_shard = kNone;   // worker hangs before writing (needs a timeout)
-  u32 garble_shard = kNone;  // worker emits truncated JSON and exits 0
+  u32 garble_shard = kNone;  // worker emits a truncated frame and exits 0
   /// Faults fire only while the shard's attempt number is <= this, so a
   /// bounded retry deterministically recovers (attempt numbers are part of
   /// the injection site, not wall-clock luck).

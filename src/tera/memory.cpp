@@ -8,7 +8,7 @@
 namespace tsim::tera {
 
 ClusterMemory::ClusterMemory(const TeraPoolConfig& cfg)
-    : map_(cfg), l1_(map_.l1_words(), 0), l2_(map_.l2_words(), 0), mmio_(0x1000 / 4, 0) {}
+    : map_(cfg), l1_(map_.l1_words()), l2_(map_.l2_words()), mmio_(0x1000 / 4, 0) {}
 
 
 void ClusterMemory::mmio_store(u32 word_index, u32 value) {
@@ -153,75 +153,13 @@ void ClusterMemory::load_program(u32 base, std::span<const u32> words) {
 }
 
 void ClusterMemory::reset_l1() {
-  std::fill(l1_.begin(), l1_.end(), 0u);
+  l1_.zero();
   std::fill(mmio_.begin(), mmio_.end(), 0u);
   console_.clear();
 }
 
 namespace {
 constexpr u32 kMemoryTag = 0x314D454D;  // "MEM1"
-
-// Guest memories are serialized with a zero-run-length encoding: an idle L2
-// is almost entirely zero words, and snapshot cost is bound by bytes pushed
-// through write+fsync, so storing zero runs as counts instead of payload is
-// what keeps periodic checkpointing within the soak-overhead budget.
-//
-// Format: u64 total word count, then records of
-//   u64 zero_run, u64 literal_run, literal_run raw u32 words
-// until the total is covered. A literal run may contain short interior zero
-// gaps (fewer than kMinZeroRun words) so sparse-but-live regions don't
-// explode into per-word records. The coder is an algorithm, not a field
-// list, so it keeps separate save and load overloads of code_words.
-constexpr size_t kMinZeroRun = 32;
-
-void code_words(sim::SnapshotWriter& w, const std::vector<u32>& v) {
-  const size_t n = v.size();
-  w.write_u64(n);
-  size_t i = 0;
-  while (i < n) {
-    size_t z = i;
-    while (z < n && v[z] == 0) ++z;
-    // Extend the literal until a zero run long enough to be worth a record.
-    size_t k = z;
-    size_t zeros = 0;
-    while (k < n) {
-      if (v[k] == 0) {
-        if (++zeros >= kMinZeroRun) break;
-      } else {
-        zeros = 0;
-      }
-      ++k;
-    }
-    size_t e = k;
-    while (e > z && v[e - 1] == 0) --e;
-    w.write_u64(z - i);
-    w.write_u64(e - z);
-    if (e > z) w.write_bytes(v.data() + z, (e - z) * sizeof(u32));
-    i = (e > z) ? e : z;
-  }
-}
-
-void code_words(sim::SnapshotReader& r, std::vector<u32>& out) {
-  const u64 n = r.read_u64();
-  if (n != out.size())
-    r.fail("memory snapshot sizes do not match this configuration");
-  std::vector<u32> v(out.size(), 0);
-  u64 pos = 0;
-  while (pos < n) {
-    const u64 zero_run = r.read_u64();
-    const u64 literal_run = r.read_u64();
-    if (zero_run > n - pos) r.fail("memory snapshot zero run overflows region");
-    pos += zero_run;
-    if (literal_run > n - pos)
-      r.fail("memory snapshot literal run overflows region");
-    if (zero_run == 0 && literal_run == 0)
-      r.fail("memory snapshot contains an empty run record");
-    r.read_bytes(v.data() + pos, literal_run * sizeof(u32));
-    pos += literal_run;
-  }
-  out = std::move(v);
-}
-
 }  // namespace
 
 template <class Self, class Ar>

@@ -22,6 +22,7 @@
 #include "rv/mem_iface.h"
 #include "sim/snapshot.h"
 #include "tera/addr_map.h"
+#include "tera/word_region.h"
 
 namespace tsim::tera {
 
@@ -71,7 +72,8 @@ class ClusterMemory final : public rv::MemIface {
   /// Loads a program image into L2 (or wherever its base points).
   void load_program(u32 base, std::span<const u32> words);
 
-  /// Zeroes L1 and the console; L2 is preserved.
+  /// Zeroes L1, the MMIO words and the console; L2 is preserved. L1's
+  /// pages are released, so the cost follows the pages touched.
   void reset_l1();
 
   // ---- checkpoint/restore (sim/snapshot.h) ----
@@ -139,8 +141,8 @@ class ClusterMemory final : public rv::MemIface {
   static void io_state(Self& m, Ar& a);
 
   AddrMap map_;
-  std::vector<u32> l1_;
-  std::vector<u32> l2_;
+  WordRegion l1_;  // lazily zeroed: untouched pages cost nothing
+  WordRegion l2_;
   std::vector<u32> mmio_;
   std::string console_;
   std::function<void(u32)> on_exit_;

@@ -1,11 +1,20 @@
 // TeraPool model tests: topology math, address routing (interleaved and
-// sequential views), NUMA latencies, MMIO side effects, host access, DMA.
+// sequential views), NUMA latencies, MMIO side effects, host access, DMA,
+// and the lazily zeroed word regions behind L1/L2 with their snapshot coder.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <array>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "tera/dma.h"
 #include "tera/memory.h"
+#include "tera/word_region.h"
 
 namespace tsim::tera {
 namespace {
@@ -300,6 +309,198 @@ TEST(Memory, ResetL1PreservesL2) {
   mem.reset_l1();
   EXPECT_EQ(mem.load(0x100, 4).value, 0u);
   EXPECT_EQ(mem.load(kL2Base, 4).value, 7u);
+}
+
+TEST(Memory, ResetL1ZeroesL1MmioAndConsoleKeepsL2) {
+  const TeraPoolConfig cfg = TeraPoolConfig::tiny();
+  ClusterMemory mem(cfg);
+  const u32 l1_words = cfg.l1_bytes() / 4;
+  for (u32 w = 0; w < l1_words; w += 97) mem.store(w * 4, w + 1, 4);
+  mem.store(cfg.l1_bytes() - 4, 0xA5A5A5A5, 4);
+  mem.store(kMmioScratch, 0x1234, 4);
+  mem.store(kMmioPutchar, 'x', 4);
+  std::vector<u32> l2(3000);
+  for (size_t i = 0; i < l2.size(); ++i) l2[i] = static_cast<u32>(i * 0x9E3779B9u) | 1;
+  mem.host_write_words(kL2Base + 0x1FF0, l2);
+
+  mem.reset_l1();
+  std::vector<u32> l1_back(l1_words, ~0u);
+  mem.host_read(kL1InterleavedBase,
+                {reinterpret_cast<u8*>(l1_back.data()), l1_back.size() * 4});
+  EXPECT_EQ(std::count(l1_back.begin(), l1_back.end(), 0u), l1_words);
+  EXPECT_EQ(mem.load(kMmioScratch, 4).value, 0u);
+  EXPECT_EQ(mem.console(), "");
+  std::vector<u32> l2_back(l2.size());
+  mem.host_read(kL2Base + 0x1FF0,
+                {reinterpret_cast<u8*>(l2_back.data()), l2_back.size() * 4});
+  EXPECT_EQ(l2_back, l2);
+  // The dropped L1 pages are writable again.
+  mem.store(0x100, 42, 4);
+  EXPECT_EQ(mem.load(0x100, 4).value, 42u);
+}
+
+// Every backing word of a memory, region by region: L1, L2, then MMIO.
+std::vector<u32> all_words(const ClusterMemory& mem) {
+  const TeraPoolConfig& cfg = mem.map().config();
+  std::vector<u32> out((cfg.l1_bytes() + cfg.l2_bytes) / 4);
+  auto bytes = [&](size_t word, size_t n) {
+    return std::span<u8>(reinterpret_cast<u8*>(out.data() + word), n * 4);
+  };
+  mem.host_read(kL1InterleavedBase, bytes(0, cfg.l1_bytes() / 4));
+  mem.host_read(kL2Base, bytes(cfg.l1_bytes() / 4, cfg.l2_bytes / 4));
+  for (u32 a = kMmioBase; a < kMmioBase + 0x1000; a += 4)
+    out.push_back(mem.host_read_word(a));
+  return out;
+}
+
+TEST(Memory, RestoreOverDirtyMemoryReadsBackExactly) {
+  const TeraPoolConfig cfg = TeraPoolConfig::tiny();
+  ClusterMemory src(cfg);
+  src.store(0x40, 0x11111111, 4);
+  src.store(cfg.l1_bytes() - 4, 0x22222222, 4);
+  src.store(kL2Base + 0x5000, 0x33333333, 4);
+  src.store(kMmioScratch, 0x44, 4);
+  src.store(kMmioPutchar, 'o', 4);
+  sim::SnapshotWriter w;
+  src.save_state(w);
+
+  // Dirty every region, on words the snapshot holds as zero and as data.
+  ClusterMemory dst(cfg);
+  for (u32 a = 0; a < cfg.l1_bytes(); a += 4 * 61) dst.store(a, a | 1, 4);
+  dst.store(0x40, 0xDEAD, 4);
+  for (u32 off = 0; off < cfg.l2_bytes; off += 4 * 509) dst.store(kL2Base + off, off | 1, 4);
+  dst.store(kL2Base + 0x5000, 0xBEEF, 4);
+  dst.store(kMmioScratch, 0x99, 4);
+  dst.store(kMmioBase + 0xFFC, 0x77, 4);
+  dst.store(kMmioPutchar, 'z', 4);
+  dst.store(kMmioPutchar, 'z', 4);
+
+  sim::SnapshotReader r(w.payload(), "mem");
+  dst.restore_state(r);
+  EXPECT_EQ(all_words(dst), all_words(src));
+  EXPECT_EQ(dst.console(), "o");
+  EXPECT_EQ(dst.load(kMmioBase + 0xFFC, 4).value, 0u);
+  EXPECT_EQ(dst.load(kL2Base + 0x5000, 4).value, 0x33333333u);
+
+  // The restored memory snapshots to the same bytes.
+  sim::SnapshotWriter again;
+  dst.save_state(again);
+  EXPECT_EQ(again.payload(), w.payload());
+}
+
+TEST(Memory, FullClusterConstructionTouchesFewPages) {
+  // L1 + L2 of the paper-scale cluster are 36 MiB, about 9.2k pages if
+  // zero-filled eagerly; lazily zeroed regions touch none of them.
+  const auto minflt = [] {
+    rusage u{};
+    getrusage(RUSAGE_SELF, &u);
+    return u.ru_minflt;
+  };
+  const long before = minflt();
+  auto mem = std::make_unique<ClusterMemory>(TeraPoolConfig::full());
+  const long faults = minflt() - before;
+  EXPECT_LT(faults, 256) << "constructing a full() ClusterMemory touched " << faults
+                         << " pages";
+  EXPECT_EQ(mem->load(kL2Base + 32 * 1024 * 1024 - 4, 4).value, 0u);
+}
+
+// The zero-run encoder as first written: a plain word-by-word scan. The
+// page-skipping encoder must emit exactly these bytes.
+std::string reference_encode(const std::vector<u32>& v) {
+  sim::SnapshotWriter w;
+  const size_t n = v.size();
+  w.write_u64(n);
+  size_t i = 0;
+  while (i < n) {
+    size_t z = i;
+    while (z < n && v[z] == 0) ++z;
+    size_t k = z;
+    size_t zeros = 0;
+    while (k < n) {
+      if (v[k] == 0) {
+        if (++zeros >= kMinZeroRun) break;
+      } else {
+        zeros = 0;
+      }
+      ++k;
+    }
+    size_t e = k;
+    while (e > z && v[e - 1] == 0) --e;
+    w.write_u64(z - i);
+    w.write_u64(e - z);
+    if (e > z) w.write_bytes(v.data() + z, (e - z) * sizeof(u32));
+    i = (e > z) ? e : z;
+  }
+  return w.payload();
+}
+
+TEST(WordRegion, PageSkippingEncoderMatchesReference) {
+  constexpr size_t kPage = 1024;  // words per 4 KiB page
+  std::vector<std::pair<std::string, std::vector<u32>>> cases;
+  const auto add = [&](std::string name, std::vector<u32> v) {
+    cases.emplace_back(std::move(name), std::move(v));
+  };
+  add("empty", {});
+  add("all zero", std::vector<u32>(5 * kPage + 7, 0));
+  add("all non-zero", std::vector<u32>(3 * kPage + 5, 0xFFFFFFFF));
+  {
+    std::vector<u32> v(6 * kPage + 3, 0);
+    for (size_t p = 0; p < 6; ++p) {
+      v[p * kPage] = static_cast<u32>(p + 1);              // first word of a page
+      v[p * kPage + kPage - 1] = static_cast<u32>(p + 10);  // last word of a page
+    }
+    v.back() = 5;
+    add("page edges", std::move(v));
+  }
+  for (const size_t gap : {kMinZeroRun - 1, kMinZeroRun, kMinZeroRun + 1}) {
+    for (const size_t before : {size_t{0}, size_t{1}, gap / 2, gap - 1, gap}) {
+      // A zero run of `gap` words straddling the page boundary at 2*kPage,
+      // with `before` of its words in the lower page.
+      std::vector<u32> v(4 * kPage, 0);
+      const size_t start = 2 * kPage - before;
+      v[start - 1] = 0xABCD;
+      v[start + gap] = 0x1234;
+      add("gap " + std::to_string(gap) + " straddling at " + std::to_string(before),
+          std::move(v));
+    }
+  }
+  Rng rng(0x5A11);
+  for (int t = 0; t < 24; ++t) {
+    std::vector<u32> v(kPage * (1 + rng.below(8)) + rng.below(kPage), 0);
+    const u64 density = 1 + rng.below(200);  // non-zero about 1 in density
+    for (auto& x : v)
+      if (rng.below(density) == 0) x = static_cast<u32>(rng.next_u64()) | 1;
+    // Occasionally leave whole pages dense or empty.
+    if (!v.empty() && rng.below(2) == 0) {
+      const size_t p = rng.below(v.size() / kPage + 1) * kPage;
+      for (size_t i = p; i < std::min(v.size(), p + kPage); ++i)
+        v[i] = t % 2 == 0 ? static_cast<u32>(i) | 1 : 0;
+    }
+    add("seeded " + std::to_string(t), std::move(v));
+  }
+
+  for (const auto& [name, v] : cases) {
+    sim::SnapshotWriter w;
+    code_words(w, v);
+    ASSERT_EQ(w.payload(), reference_encode(v)) << name;
+
+    // And it decodes back in place over a dirty region.
+    WordRegion region(v.size());
+    for (auto& x : region) x = 0xDEADBEEF;
+    sim::SnapshotReader r(w.payload(), "words");
+    code_words(r, region);
+    ASSERT_TRUE(std::equal(region.begin(), region.end(), v.begin(), v.end())) << name;
+  }
+}
+
+TEST(WordRegion, DecodeChecksSizeBeforeTouchingTheRegion) {
+  sim::SnapshotWriter w;
+  code_words(w, std::vector<u32>(100, 7));
+  WordRegion region(99);
+  region[5] = 3;
+  sim::SnapshotReader r(w.payload(), "words");
+  EXPECT_THROW(code_words(r, region), sim::SnapshotError);
+  EXPECT_EQ(region[5], 3u);
 }
 
 TEST(Dma, CopiesBetweenRegionsAndReportsCycles) {
