@@ -662,7 +662,8 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
       // Member sweep, templated on the (loop-invariant) opcode, split into
       // three lane-major passes over the SoA columns:
       //   A. scoreboard issue + RAW stall        (vector, u64 columns)
-      //   B. architectural semantics             (scalar, member order)
+      //   B. architectural semantics             (scalar, member order;
+      //                                           column-wise for fp16 ALU)
       //   C. retire clock/ready/mix              (vector, u64 columns)
       // The split is sound because pass A/C touch only per-lane timing
       // columns no other lane reads, and pass B runs in member order, so
@@ -774,9 +775,48 @@ u64 Machine::exec_followers_replay(const u32* ids, u32 count, u64 budget,
             } else {
               fused([] { return false; });
             }
-            for (u32 k = 0; k < n; ++k) {
-              HartLane h = soa_.lane(at(k));
-              rv::execute_known<kOp>(ent.d, h, mem);
+            if constexpr (rv::exec_detail::kFp16AluOp<kOp>) {
+              // Pass B column-wise. These ops read only their own lane's
+              // source registers and write only its rd/pc/instret, so
+              // member order is unobservable (the argument of the fused
+              // loop above): gather the window's operand words into
+              // columns, evaluate the branch-free lane kernel over them (a
+              // loop the compiler vectorizes), then scatter rd. A lane whose
+              // rounding left the codec's fast path (subnormal or NaN
+              // result) re-runs on the interpreter instead - fp16_alu<kOp>
+              // is the arithmetic of both.
+              u32 w1[kMaxBatchWidth], w2[kMaxBatchWidth], w3[kMaxBatchWidth];
+              u32 wd[kMaxBatchWidth], res[kMaxBatchWidth], slow[kMaxBatchWidth];
+              const u8 r3 = ent.d.rs3;
+              for (u32 k = 0; k < n; ++k) {
+                const std::array<u32, 32>& x = soa_.arch[at(k)].x;
+                w1[k] = x[r1 & 31];
+                w2[k] = x[r2 & 31];
+                w3[k] = x[r3 & 31];
+                wd[k] = x[rd & 31];
+              }
+              for (u32 k = 0; k < n; ++k) {
+                u32 s = 0;
+                res[k] = rv::exec_detail::fp16_alu<kOp>(w1[k], w2[k], w3[k], wd[k],
+                                                        sf::FastOrFlag{s});
+                slow[k] = s;
+              }
+              for (u32 k = 0; k < n; ++k) {
+                const size_t i = at(k);
+                if (slow[k] != 0) [[unlikely]] {
+                  HartLane h = soa_.lane(i);
+                  rv::execute_known<kOp>(ent.d, h, mem);
+                  continue;
+                }
+                if (rd != 0) soa_.arch[i].x[rd & 31] = res[k];
+                soa_.pc[i] += 4;
+                soa_.instret[i] += 1;
+              }
+            } else {
+              for (u32 k = 0; k < n; ++k) {
+                HartLane h = soa_.lane(at(k));
+                rv::execute_known<kOp>(ent.d, h, mem);
+              }
             }
             return;
           }

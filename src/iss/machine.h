@@ -75,6 +75,10 @@
 // and pass B keeps the member-order memory accesses that the bit-exactness
 // contract pins. Members that fault in pass B still retire pass C (the
 // serial path retires timing before the halted check) and drop out after.
+// The fp16 ALU ops touch no memory, CSR or fault state, so their pass B
+// runs column-wise instead: one vectorized lane kernel (the interpreter's
+// own rv::exec_detail::fp16_alu) over the gathered operand words, with the
+// lanes it flags (NaN/subnormal results) re-run through execute_known.
 //
 // Batch invariants (the serial path stays the bit-exactness oracle):
 //  - A batch FORMS only from consecutive entries of the run list, all at one

@@ -63,17 +63,61 @@ inline u32 h_box(u32 h16) { return static_cast<u32>(sign_extend(h16 & 0xFFFF, 16
 // Complex fp16 MAC with 32-bit internal datapath: the product terms are
 // rounded once to binary32 (the multiplier's internal precision), then
 // accumulated into the packed binary16 register (second rounding).
-inline u32 cdotp_h(u32 acc, u32 a, u32 b, bool conj_a) {
+template <typename R>
+[[gnu::always_inline]] inline u32 cdotp_h(u32 acc, u32 a, u32 b, bool conj_a, R r) {
   const double are = F16::to_double(lane16(a, 0)), aim = F16::to_double(lane16(a, 1));
   const double bre = F16::to_double(lane16(b, 0)), bim = F16::to_double(lane16(b, 1));
   const double sim = conj_a ? -aim : aim;
   const float prod_re = static_cast<float>(are * bre - sim * bim);
   const float prod_im = static_cast<float>(are * bim + sim * bre);
-  const u16 re = static_cast<u16>(
-      F16::from_double(static_cast<double>(prod_re) + F16::to_double(lane16(acc, 0))));
-  const u16 im = static_cast<u16>(
-      F16::from_double(static_cast<double>(prod_im) + F16::to_double(lane16(acc, 1))));
-  return pack16(re, im);
+  const u32 re =
+      r.template round<F16>(static_cast<double>(prod_re) + F16::to_double(lane16(acc, 0)));
+  const u32 im =
+      r.template round<F16>(static_cast<double>(prod_im) + F16::to_double(lane16(acc, 1)));
+  return pack16(static_cast<u16>(re), static_cast<u16>(im));
+}
+
+// ---- fp16 ALU lane kernels ----
+// These ops are pure functions of their source words: no memory, CSR,
+// control or fault state. `fp16_alu<kOp>` is each one's only semantics. The
+// interpreter calls it with sf::Exact; the ISS lockstep sweep evaluates it
+// column-wise across a batch with sf::FastOrFlag and re-runs the flagged
+// lanes through the interpreter (iss/machine.cpp). `rs3` is read by the R4
+// ops only.
+template <Op kOp>
+inline constexpr bool kFp16AluOp =
+    kOp == Op::kFaddH || kOp == Op::kFsubH || kOp == Op::kFmulH || kOp == Op::kFmaddH ||
+    kOp == Op::kFmsubH || kOp == Op::kVfmacH || kOp == Op::kVfdotpexSH ||
+    kOp == Op::kVfcdotpH || kOp == Op::kVfccdotpH;
+
+template <Op kOp, typename R>
+[[gnu::always_inline]] inline u32 fp16_alu(u32 rs1, u32 rs2, u32 rs3, u32 rd_old, R r) {
+  static_assert(kFp16AluOp<kOp>);
+  if constexpr (kOp == Op::kFaddH) {
+    return h_box(sf::add<F16>(rs1 & 0xFFFF, rs2 & 0xFFFF, r));
+  } else if constexpr (kOp == Op::kFsubH) {
+    return h_box(sf::sub<F16>(rs1 & 0xFFFF, rs2 & 0xFFFF, r));
+  } else if constexpr (kOp == Op::kFmulH) {
+    return h_box(sf::mul<F16>(rs1 & 0xFFFF, rs2 & 0xFFFF, r));
+  } else if constexpr (kOp == Op::kFmaddH) {
+    return h_box(sf::fma<F16>(rs1, rs2, rs3, r));
+  } else if constexpr (kOp == Op::kFmsubH) {
+    return h_box(sf::fma<F16>(rs1, rs2, sf::sgnjn<F16>(rs3, rs3), r));
+  } else if constexpr (kOp == Op::kVfmacH) {
+    return pack16(static_cast<u16>(sf::fma<F16>(lane16(rs1, 0), lane16(rs2, 0),
+                                                lane16(rd_old, 0), r)),
+                  static_cast<u16>(sf::fma<F16>(lane16(rs1, 1), lane16(rs2, 1),
+                                                lane16(rd_old, 1), r)));
+  } else if constexpr (kOp == Op::kVfdotpexSH) {
+    // rd (binary32) += rs1.h0*rs2.h0 + rs1.h1*rs2.h1, single rounding to
+    // binary32 by the host (no fp16 rounding: nothing to flag).
+    const double sum = F16::to_double(lane16(rs1, 0)) * F16::to_double(lane16(rs2, 0)) +
+                       F16::to_double(lane16(rs1, 1)) * F16::to_double(lane16(rs2, 1)) +
+                       static_cast<double>(as_f32(rd_old));
+    return f32_bits(static_cast<float>(sum));
+  } else {
+    return cdotp_h(rd_old, rs1, rs2, kOp == Op::kVfccdotpH, r);
+  }
 }
 
 }  // namespace exec_detail
@@ -361,9 +405,15 @@ template <typename Mem, bool kStaticOp, Op kOp, typename State>
     }
 
     // ----- Zhinx (binary16, low half of x-regs) -----
-    case Op::kFaddH: h.write_reg(d.rd, h_box(sf::add<F16>(rs1 & 0xFFFF, rs2 & 0xFFFF))); break;
-    case Op::kFsubH: h.write_reg(d.rd, h_box(sf::sub<F16>(rs1 & 0xFFFF, rs2 & 0xFFFF))); break;
-    case Op::kFmulH: h.write_reg(d.rd, h_box(sf::mul<F16>(rs1 & 0xFFFF, rs2 & 0xFFFF))); break;
+    case Op::kFaddH:
+      h.write_reg(d.rd, fp16_alu<Op::kFaddH>(rs1, rs2, 0, rd_old, sf::Exact{}));
+      break;
+    case Op::kFsubH:
+      h.write_reg(d.rd, fp16_alu<Op::kFsubH>(rs1, rs2, 0, rd_old, sf::Exact{}));
+      break;
+    case Op::kFmulH:
+      h.write_reg(d.rd, fp16_alu<Op::kFmulH>(rs1, rs2, 0, rd_old, sf::Exact{}));
+      break;
     case Op::kFdivH: h.write_reg(d.rd, h_box(sf::div<F16>(rs1 & 0xFFFF, rs2 & 0xFFFF))); break;
     case Op::kFsqrtH: h.write_reg(d.rd, h_box(sf::sqrt<F16>(rs1 & 0xFFFF))); break;
     case Op::kFsgnjH: h.write_reg(d.rd, h_box(sf::sgnj<F16>(rs1, rs2))); break;
@@ -385,16 +435,14 @@ template <typename Mem, bool kStaticOp, Op kOp, typename State>
     case Op::kFcvtHS:
       h.write_reg(d.rd, h_box(F16::from_double(static_cast<double>(as_f32(rs1)))));
       break;
-    case Op::kFmaddH: {
-      const u32 rs3 = h.read_reg(d.rs3);
-      h.write_reg(d.rd, h_box(sf::fma<F16>(rs1, rs2, rs3)));
+    case Op::kFmaddH:
+      h.write_reg(d.rd,
+                  fp16_alu<Op::kFmaddH>(rs1, rs2, h.read_reg(d.rs3), rd_old, sf::Exact{}));
       break;
-    }
-    case Op::kFmsubH: {
-      const u32 rs3 = h.read_reg(d.rs3);
-      h.write_reg(d.rd, h_box(sf::fma<F16>(rs1, rs2, sf::sgnjn<F16>(rs3, rs3))));
+    case Op::kFmsubH:
+      h.write_reg(d.rd,
+                  fp16_alu<Op::kFmsubH>(rs1, rs2, h.read_reg(d.rs3), rd_old, sf::Exact{}));
       break;
-    }
     case Op::kFnmsubH: {
       const u32 rs3 = h.read_reg(d.rs3);
       h.write_reg(d.rd, h_box(sf::fma<F16>(sf::sgnjn<F16>(rs1, rs1), rs2, rs3)));
@@ -522,11 +570,7 @@ template <typename Mem, bool kStaticOp, Op kOp, typename State>
                                static_cast<u16>(sf::mul<F16>(lane16(rs1, 1), lane16(rs2, 1)))));
       break;
     case Op::kVfmacH:
-      h.write_reg(d.rd,
-                  pack16(static_cast<u16>(sf::fma<F16>(lane16(rs1, 0), lane16(rs2, 0),
-                                                       lane16(rd_old, 0))),
-                         static_cast<u16>(sf::fma<F16>(lane16(rs1, 1), lane16(rs2, 1),
-                                                       lane16(rd_old, 1)))));
+      h.write_reg(d.rd, fp16_alu<Op::kVfmacH>(rs1, rs2, 0, rd_old, sf::Exact{}));
       break;
     case Op::kVfaddB:
     case Op::kVfsubB:
@@ -547,14 +591,9 @@ template <typename Mem, bool kStaticOp, Op kOp, typename State>
       h.write_reg(d.rd, out);
       break;
     }
-    case Op::kVfdotpexSH: {
-      // rd (binary32) += rs1.h0*rs2.h0 + rs1.h1*rs2.h1, single rounding.
-      const double sum = F16::to_double(lane16(rs1, 0)) * F16::to_double(lane16(rs2, 0)) +
-                         F16::to_double(lane16(rs1, 1)) * F16::to_double(lane16(rs2, 1)) +
-                         static_cast<double>(as_f32(rd_old));
-      h.write_reg(d.rd, f32_bits(static_cast<float>(sum)));
+    case Op::kVfdotpexSH:
+      h.write_reg(d.rd, fp16_alu<Op::kVfdotpexSH>(rs1, rs2, 0, rd_old, sf::Exact{}));
       break;
-    }
     case Op::kVfdotpexHB: {
       // rd (binary16, low half) += sum of 4 fp8 lane products, single rounding.
       double sum = F16::to_double(lane16(rd_old, 0));
@@ -563,8 +602,12 @@ template <typename Mem, bool kStaticOp, Op kOp, typename State>
       h.write_reg(d.rd, h_box(F16::from_double(sum)));
       break;
     }
-    case Op::kVfcdotpH: h.write_reg(d.rd, cdotp_h(rd_old, rs1, rs2, false)); break;
-    case Op::kVfccdotpH: h.write_reg(d.rd, cdotp_h(rd_old, rs1, rs2, true)); break;
+    case Op::kVfcdotpH:
+      h.write_reg(d.rd, fp16_alu<Op::kVfcdotpH>(rs1, rs2, 0, rd_old, sf::Exact{}));
+      break;
+    case Op::kVfccdotpH:
+      h.write_reg(d.rd, fp16_alu<Op::kVfccdotpH>(rs1, rs2, 0, rd_old, sf::Exact{}));
+      break;
     case Op::kVfcvtHB:
       h.write_reg(d.rd, pack16(static_cast<u16>(sf::convert<F16, Fp8>(lane8(rs1, 0))),
                                static_cast<u16>(sf::convert<F16, Fp8>(lane8(rs1, 1)))));

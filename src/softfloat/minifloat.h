@@ -1,18 +1,34 @@
 // Bit-true narrow floating-point formats (IEEE-754 style): binary16 and the
 // SmallFloat/MiniFloat 8-bit formats used by the TeraPool ISA extensions.
 //
-// Encoding/decoding is exact bit manipulation. Arithmetic is performed in
-// IEEE double and rounded once to the target format (round-to-nearest-even).
-// This is the standard emulator shortcut; it is exact for add/sub/mul of
-// narrow formats (their products and sums are exactly representable in
-// double) and correct for fused ops except for a documented corner: when a
-// 3-term sum has an addend more than 52 bits below the leading term AND the
-// leading terms land exactly on a rounding tie, the tie may be broken as
-// ties-to-even instead of by the vanishing addend. This cannot affect the
-// paper's BER or timing experiments and is excluded from tests.
+// Arithmetic is performed in IEEE double and rounded once to the target
+// format (round-to-nearest-even). This is the standard emulator shortcut; it
+// is exact for add/sub/mul of narrow formats (their products and sums are
+// exactly representable in double) and correct for fused ops except for a
+// documented corner: when a 3-term sum has an addend more than 52 bits below
+// the leading term AND the leading terms land exactly on a rounding tie, the
+// tie may be broken as ties-to-even instead of by the vanishing addend. This
+// cannot affect the paper's BER or timing experiments and is excluded from
+// tests.
+//
+// The codec between a format and double is branch-free on its hot path, so
+// the scalar interpreter runs it without mispredicts and the ISS lockstep
+// sweep vectorizes it across a batch of harts:
+//  - Decode rebiases the exponent and widens the mantissa into the double's
+//    fields. A subnormal 0.m * 2^(1-bias) is formed exactly as the double
+//    difference 1.m * 2^(1-bias) - 2^(1-bias); inf and NaN are selected.
+//  - Encode rounds the double's magnitude bits to nearest-even with one
+//    integer add (`a + (half - 1) + lsb`, then `>> (52 - M)`): a mantissa
+//    carry ripples into the exponent field by itself. Rebiasing the exponent
+//    and clamping to inf finish every +-0 and every result whose magnitude
+//    is at least the format's smallest normal. The rest - results that round
+//    to a subnormal (or up to the smallest normal), NaN and double
+//    subnormals - take `encode_general`, the one out-of-line path, which
+//    handles exactly those cases.
+// `encode_fast` exposes the hot path with a "needs the general encoder" flag
+// for lane kernels that batch the rare lanes out (iss/machine.cpp).
 #pragma once
 
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -21,28 +37,6 @@
 #include "common/types.h"
 
 namespace tsim::sf {
-
-namespace detail {
-/// Exact powers of two for the decode fast path. Multiplying an integer-
-/// valued double by an exact power of two is exact (no rounding), so this
-/// is bit-identical to std::ldexp while staying inlinable - ldexp is an
-/// out-of-line libm call on the hottest path of the packed-FP emulation.
-constexpr int kPow2Min = -160;
-constexpr int kPow2Max = 160;
-inline constexpr std::array<double, kPow2Max - kPow2Min + 1> kPow2 = [] {
-  std::array<double, kPow2Max - kPow2Min + 1> t{};
-  for (int e = kPow2Min; e <= kPow2Max; ++e) {
-    // Assemble the double directly: 2^e has a zero mantissa and biased
-    // exponent e + 1023 (always normal in this range).
-    t[static_cast<size_t>(e - kPow2Min)] =
-        std::bit_cast<double>(static_cast<u64>(e + 1023) << 52);
-  }
-  return t;
-}();
-inline double exact_scale(double mant, int e) {
-  return mant * kPow2[static_cast<size_t>(e - kPow2Min)];
-}
-}  // namespace detail
 
 /// Result category for FCLASS-style classification.
 enum class FpClass : u32 {
@@ -77,56 +71,72 @@ struct MiniFormat {
   static constexpr u32 kQuietNanBits = (kExpMask << kMantBits) | (1u << (kMantBits - 1));
   static constexpr u32 kPosInfBits = kExpMask << kMantBits;
 
-  /// Decodes the low kBits of `enc` into an exact double.
+  // The double bridge: a format value with biased exponent e and mantissa
+  // m is the double with biased exponent e + kRebias and mantissa
+  // m << kShift.
+  static constexpr int kShift = 52 - kMantBits;
+  static constexpr u64 kRebias = static_cast<u64>(1023 - kBias);
+  static constexpr u64 kDoubleInf = 0x7FFull << 52;
+  static constexpr u64 kDoubleQuietNan = 0xFFFull << 51;  // std::numeric_limits' qNaN
+  /// Double bits of 2^(1 - kBias), the format's smallest normal.
+  static constexpr u64 kDoubleMinNormal = (kRebias + 1) << 52;
+
+  /// Decodes the low kBits of `enc` into an exact double. Every NaN decodes
+  /// to the canonical positive quiet NaN.
   static double to_double(u32 enc) {
     enc &= kValueMask;
-    const bool sign = (enc & kSignBit) != 0;
-    const u32 exp = (enc >> kMantBits) & kExpMask;
-    const u32 mant = enc & kMantMask;
-    double mag;
-    if (exp == kExpMask) {
-      if (mant != 0) return std::numeric_limits<double>::quiet_NaN();
-      mag = std::numeric_limits<double>::infinity();
-    } else if (exp == 0) {
-      // Exponent range here is within [-136, 117] for every MiniFormat
-      // (static_asserts above), safely inside the exact_scale table.
-      mag = detail::exact_scale(static_cast<double>(mant), 1 - kBias - kMantBits);
-    } else {
-      mag = detail::exact_scale(static_cast<double>(mant | (kMantMask + 1u)),
-                                static_cast<int>(exp) - kBias - kMantBits);
-    }
-    return sign ? -mag : mag;
+    const u64 sign = static_cast<u64>(enc >> (kBits - 1)) << 63;
+    const u64 exp = (enc >> kMantBits) & kExpMask;
+    const u64 frac = static_cast<u64>(enc & kMantMask) << kShift;
+    const u64 normal = ((exp + kRebias) << 52) | frac;
+    const u64 subnormal = std::bit_cast<u64>(std::bit_cast<double>(kDoubleMinNormal | frac) -
+                                             std::bit_cast<double>(kDoubleMinNormal));
+    const u64 special = frac != 0 ? kDoubleQuietNan : (kDoubleInf | sign);
+    const u64 finite = (exp == 0 ? subnormal : normal) | sign;
+    return std::bit_cast<double>(exp == kExpMask ? special : finite);
   }
 
-  /// Encodes `d` with round-to-nearest-even, overflow to infinity.
+  /// Hot path of `from_double`: the encoding of `d` when it is +-0 or its
+  /// magnitude is at least the smallest normal (overflow saturates to inf).
+  /// Otherwise ORs 1 into `slow` and returns an unspecified value. Branch-
+  /// free, so a loop over lanes vectorizes.
+  [[gnu::always_inline]] static u32 encode_fast(double d, u32& slow) {
+    const u64 bits = std::bit_cast<u64>(d);
+    const u64 a = bits & ~(1ull << 63);
+    slow |= static_cast<u32>((a - kDoubleMinNormal > kDoubleInf - kDoubleMinNormal) &
+                             (a != 0));
+    // Round to nearest even at bit kShift; t = (double biased exp, mantissa).
+    const u64 t = (a + ((1ull << (kShift - 1)) - 1) + ((a >> kShift) & 1)) >> kShift;
+    u32 mag = static_cast<u32>(t - (kRebias << kMantBits));
+    mag = t >= (kRebias + kExpMask) << kMantBits ? kPosInfBits : mag;
+    mag = a == 0 ? 0u : mag;
+    return (static_cast<u32>(bits >> 63) << (kBits - 1)) | mag;
+  }
+
+  /// Encodes `d` with round-to-nearest-even, overflow to infinity; NaN
+  /// encodes to the canonical quiet NaN.
   static u32 from_double(double d) {
+    u32 slow = 0;
+    const u32 enc = encode_fast(d, slow);
+    if (slow != 0) [[unlikely]] return encode_general(d);
+    return enc;
+  }
+
+  /// The slow inputs of `from_double`: NaN, and nonzero magnitudes below
+  /// the smallest normal 2^(1 - kBias), double subnormals included. The
+  /// result is the canonical NaN, +-0, a subnormal, or the smallest normal
+  /// when rounding carries into it. Out of line: only the rare lanes get here.
+  [[gnu::noinline]] static u32 encode_general(double d) {
     const u64 dbits = std::bit_cast<u64>(d);
-    const u32 sign = static_cast<u32>(dbits >> 63) << (kExpBits + kMantBits);
-    const int dexp = static_cast<int>((dbits >> 52) & 0x7FF);
-    const u64 dmant = dbits & ((1ull << 52) - 1);
-
-    if (dexp == 0x7FF) {
-      if (dmant != 0) return kQuietNanBits;  // NaN (canonicalized, sign dropped)
-      return sign | kPosInfBits;             // +-inf
-    }
-    if (dexp == 0 && dmant == 0) return sign;  // +-0
-
-    // Significand as a 53-bit integer; value = mant53 * 2^(unbiased - 52).
+    if ((dbits & ~(1ull << 63)) > kDoubleInf) return kQuietNanBits;  // sign dropped
+    const u32 sign = static_cast<u32>(dbits >> 63) << (kBits - 1);
+    const int dexp = static_cast<int>(dbits >> 52) & 0x7FF;
     // Double subnormals (< 2^-1022) underflow every mini format to zero.
     if (dexp == 0) return sign;
-    const u64 mant53 = (1ull << 52) | dmant;
-    const int unbiased = dexp - 1023;
-
-    const int min_normal_exp = 1 - kBias;
-    int biased;
-    int shift;  // number of low bits of mant53 dropped by rounding
-    if (unbiased >= min_normal_exp) {
-      biased = unbiased + kBias;
-      shift = 52 - kMantBits;
-    } else {
-      biased = 0;
-      shift = (52 - kMantBits) + (min_normal_exp - unbiased);
-    }
+    // value = mant53 * 2^(dexp - 1075); the result counts units of the
+    // smallest subnormal 2^(1 - kBias - kMantBits), mant53 >> shift of them.
+    const u64 mant53 = (1ull << 52) | (dbits & ((1ull << 52) - 1));
+    const int shift = kShift + (1 - kBias) - (dexp - 1023);
     if (shift > 62) return sign;  // magnitude far below half the smallest subnormal
 
     // Round-to-nearest-even on the dropped bits.
@@ -134,19 +144,9 @@ struct MiniFormat {
     const u64 rem = mant53 & ((1ull << shift) - 1);
     const u64 half = 1ull << (shift - 1);
     if (rem > half || (rem == half && (keep & 1))) ++keep;
-
-    if (biased == 0) {
-      // Subnormal result; rounding may promote to the smallest normal.
-      if (keep > kMantMask) return sign | (1u << kMantBits);
-      return sign | static_cast<u32>(keep);
-    }
-    if (keep == (kMantMask + 1u) * 2) {  // carry out of the significand
-      keep >>= 1;
-      ++biased;
-    }
-    if (biased >= static_cast<int>(kExpMask)) return sign | kPosInfBits;  // overflow
-    return sign | (static_cast<u32>(biased) << kMantBits) |
-           (static_cast<u32>(keep) & kMantMask);
+    // keep <= kMantMask + 1, and a carry up to kMantMask + 1 is exactly the
+    // encoding of the smallest normal.
+    return sign | static_cast<u32>(keep);
   }
 
   static bool is_nan(u32 enc) {
@@ -194,21 +194,41 @@ using F8E4M2 = MiniFormat<4, 2>;
 
 // ---------------------------------------------------------------------------
 // Generic arithmetic: compute in double, round once into the target format.
+//
+// The final rounding is a policy, so each op's arithmetic is written once and
+// serves both callers: `Exact` (the default) is `from_double`; `FastOrFlag`
+// keeps to the branch-free `encode_fast` and flags lanes that need the
+// general encoder, for lane kernels that re-run those lanes exactly.
 // ---------------------------------------------------------------------------
 
-template <typename Fmt>
-u32 add(u32 a, u32 b) {
-  return Fmt::from_double(Fmt::to_double(a) + Fmt::to_double(b));
+struct Exact {
+  template <typename Fmt>
+  u32 round(double d) const {
+    return Fmt::from_double(d);
+  }
+};
+
+struct FastOrFlag {
+  u32& slow;  // ORed with 1 when a rounding left the fast path
+  template <typename Fmt>
+  [[gnu::always_inline]] u32 round(double d) const {
+    return Fmt::encode_fast(d, slow);
+  }
+};
+
+template <typename Fmt, typename R = Exact>
+u32 add(u32 a, u32 b, R r = {}) {
+  return r.template round<Fmt>(Fmt::to_double(a) + Fmt::to_double(b));
 }
 
-template <typename Fmt>
-u32 sub(u32 a, u32 b) {
-  return Fmt::from_double(Fmt::to_double(a) - Fmt::to_double(b));
+template <typename Fmt, typename R = Exact>
+u32 sub(u32 a, u32 b, R r = {}) {
+  return r.template round<Fmt>(Fmt::to_double(a) - Fmt::to_double(b));
 }
 
-template <typename Fmt>
-u32 mul(u32 a, u32 b) {
-  return Fmt::from_double(Fmt::to_double(a) * Fmt::to_double(b));
+template <typename Fmt, typename R = Exact>
+u32 mul(u32 a, u32 b, R r = {}) {
+  return r.template round<Fmt>(Fmt::to_double(a) * Fmt::to_double(b));
 }
 
 template <typename Fmt>
@@ -222,9 +242,9 @@ u32 sqrt(u32 a) {
 }
 
 /// Fused multiply-add: round(a * b + c) with a single rounding.
-template <typename Fmt>
-u32 fma(u32 a, u32 b, u32 c) {
-  return Fmt::from_double(
+template <typename Fmt, typename R = Exact>
+u32 fma(u32 a, u32 b, u32 c, R r = {}) {
+  return r.template round<Fmt>(
       std::fma(Fmt::to_double(a), Fmt::to_double(b), Fmt::to_double(c)));
 }
 
